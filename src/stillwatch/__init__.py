@@ -42,11 +42,8 @@ from .device import (
 from .filters import (
     Biquad,
     BiquadCoefficients,
-    BiquadState,
     FilterSpec,
-    design_bandpass,
     design_bandpass_cascade,
-    filter_step,
     frequency_response,
 )
 from .sim import (
@@ -60,7 +57,6 @@ from .sim import (
     SimulationTrace,
     SineMovement,
     canonical_scenario,
-    generate,
     run,
 )
 
@@ -71,10 +67,7 @@ __all__ = [
     # filters
     "FilterSpec",
     "BiquadCoefficients",
-    "BiquadState",
-    "design_bandpass",
     "design_bandpass_cascade",
-    "filter_step",
     "Biquad",
     "frequency_response",
     # counts
@@ -116,7 +109,6 @@ __all__ = [
     "ButtonPress",
     "ScenarioSampler",
     "SimulationTrace",
-    "generate",
     "run",
     "canonical_scenario",
 ]

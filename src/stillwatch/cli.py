@@ -22,7 +22,7 @@ from pathlib import Path
 from . import io as formats
 from .counts import CountsPipeline
 from .detector import InactivityDetector
-from .filters import design_bandpass_cascade
+from .filters import FilterSpec, design_bandpass_cascade
 from .sim import canonical_scenario, run
 
 __all__ = ["main", "app"]
@@ -89,8 +89,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_design_filter(args: argparse.Namespace) -> int:
-    from .filters import FilterSpec
-
     spec = FilterSpec(args.fs, args.low, args.high)
     sections = design_bandpass_cascade(spec, args.order)
     for c in sections:
@@ -135,11 +133,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--events", help="also write the event CSV to this path")
     p.set_defaults(func=_cmd_simulate)
 
+    stock = formats.ConfigFile()
+    spec = stock.filter_spec
     p = sub.add_parser("design-filter", help="print band-pass coefficients b0 b1 b2 a1 a2")
-    p.add_argument("--fs", type=float, default=100.0, help="sample rate, Hz")
-    p.add_argument("--low", type=float, default=0.305, help="low cutoff, Hz")
-    p.add_argument("--high", type=float, default=1.615, help="high cutoff, Hz")
-    p.add_argument("--order", type=int, default=2, help="overall filter order (even)")
+    p.add_argument("--fs", type=float, default=spec.sample_rate_hz, help="sample rate, Hz")
+    p.add_argument("--low", type=float, default=spec.low_cutoff_hz, help="low cutoff, Hz")
+    p.add_argument("--high", type=float, default=spec.high_cutoff_hz, help="high cutoff, Hz")
+    p.add_argument(
+        "--order", type=int, default=stock.filter_order, help="overall filter order (even)"
+    )
     p.set_defaults(func=_cmd_design_filter)
 
     p = sub.add_parser(

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from ._checks import require_finite
 from .filters import Biquad, BiquadCoefficients, FilterSpec, design_bandpass_cascade
 
 __all__ = [
@@ -44,10 +45,7 @@ class RawSample:
     az: float
 
     def __post_init__(self) -> None:
-        for name in ("t", "ax", "ay", "az"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value)):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        require_finite(self, ("t", "ax", "ay", "az"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,16 +59,17 @@ class CountsConfig:
     sample_rate_hz: float = 100.0
 
     def __post_init__(self) -> None:
-        for name in (
-            "deadband_g",
-            "saturation_g",
-            "scale_g_per_sec_per_count",
-            "epoch_seconds",
-            "sample_rate_hz",
-        ):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+        require_finite(
+            self,
+            (
+                "deadband_g",
+                "saturation_g",
+                "scale_g_per_sec_per_count",
+                "epoch_seconds",
+                "sample_rate_hz",
+            ),
+            positive=True,
+        )
         if not self.deadband_g < self.saturation_g:
             raise ValueError(
                 f"deadband_g={self.deadband_g} must be below saturation_g={self.saturation_g}"
@@ -208,9 +207,10 @@ class CountsPipeline:
         config: CountsConfig | None = None,
         order: int = 2,
     ) -> "CountsPipeline":
-        """Build a pipeline designing the band-pass from a spec (defaults throughout)."""
+        """Build a pipeline designing the band-pass from a spec; the stock pass
+        band at the counts sample rate when no spec is given."""
         config = config or CountsConfig()
-        filter_spec = filter_spec or FilterSpec(config.sample_rate_hz, 0.305, 1.615)
+        filter_spec = filter_spec or FilterSpec(config.sample_rate_hz)
         if filter_spec.sample_rate_hz != config.sample_rate_hz:
             raise ValueError(
                 f"filter sample rate {filter_spec.sample_rate_hz} Hz does not match "

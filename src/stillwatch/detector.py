@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
+from ._checks import require_finite
+
 __all__ = [
     "MONITORING",
     "VIBRATING",
@@ -65,15 +67,11 @@ class DetectorConfig:
     tick_seconds: float = 0.01
 
     def __post_init__(self) -> None:
-        for name in (
-            "count_threshold",
-            "inactivity_seconds",
-            "vibration_seconds",
-            "tick_seconds",
-        ):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+        require_finite(
+            self,
+            ("count_threshold", "inactivity_seconds", "vibration_seconds", "tick_seconds"),
+            positive=True,
+        )
         for name in ("inactivity_seconds", "vibration_seconds"):
             ticks = getattr(self, name) / self.tick_seconds
             if abs(ticks - round(ticks)) > 1e-6 or round(ticks) < 1:

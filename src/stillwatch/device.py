@@ -13,9 +13,11 @@ a fresh device.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Literal
 
+from ._checks import require_finite
 from .detector import (
     VIB_START,
     DetectorConfig,
@@ -57,13 +59,22 @@ class DeviceConfig:
             raise ValueError(
                 f"exactly three inactivity options are required, got {len(options)}"
             )
-        if any(x <= 0 for x in options):
-            raise ValueError(f"inactivity options must be positive, got {options}")
+        if not all(math.isfinite(x) and x > 0 for x in options):
+            raise ValueError(f"inactivity options must be positive finite numbers, got {options}")
         object.__setattr__(self, "inactivity_options", options)
-        if self.vibration_seconds <= 0:
-            raise ValueError("vibration_seconds must be positive")
-        if self.blue_flash_period_seconds <= 0:
-            raise ValueError("blue_flash_period_seconds must be positive")
+        require_finite(self, ("vibration_seconds", "blue_flash_period_seconds"), positive=True)
+
+    def detector_configs(self, base: DetectorConfig) -> tuple[DetectorConfig, ...]:
+        """The detector configuration for each inactivity option, in option order.
+
+        Each takes its inactivity duration from the option and the vibration
+        time from this config; the threshold and tick size come from `base`.
+        Raises ValueError when a duration is not a whole number of ticks.
+        """
+        return tuple(
+            replace(base, inactivity_seconds=seconds, vibration_seconds=self.vibration_seconds)
+            for seconds in self.inactivity_options
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,28 +109,17 @@ class Device:
         detector_config: DetectorConfig | None = None,
     ):
         self.config = config or DeviceConfig()
-        base = detector_config or DetectorConfig()
-        # Threshold and tick size come from the detector config; the active
-        # inactivity duration always follows the selected option, and the
-        # vibration time is the device's.
-        self._base = base
+        # Built up front, so a select press can never meet an invalid option.
+        self._detector_cfgs = self.config.detector_configs(detector_config or DetectorConfig())
         self.power = True
         self.selected_option = 0
         self.red_led_enabled = self.config.red_led_enabled_default
         self.events: list[DetectorEvent] = []
         self._state = DetectorState()
-        self._detector_cfg = self._make_detector_config()
+        self._detector_cfg = self._detector_cfgs[0]
         self._vib_anchor = 0.0
         self._blue_anchor: float | None = None
         self._blue_flashes = 0
-
-    def _make_detector_config(self) -> DetectorConfig:
-        return DetectorConfig(
-            count_threshold=self._base.count_threshold,
-            inactivity_seconds=self.config.inactivity_options[self.selected_option],
-            vibration_seconds=self.config.vibration_seconds,
-            tick_seconds=self._base.tick_seconds,
-        )
 
     @property
     def detector_config(self) -> DetectorConfig:
@@ -138,7 +138,7 @@ class Device:
             return
         if button == SELECT:
             self.selected_option = (self.selected_option + 1) % 3
-            self._detector_cfg = self._make_detector_config()
+            self._detector_cfg = self._detector_cfgs[self.selected_option]
             # Switching options must not fire an alert instantly.
             self._state = replace(self._state, last_reset_tick=self._state.tick_index)
             self._blue_anchor = t

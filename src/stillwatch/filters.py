@@ -19,13 +19,12 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from ._checks import require_finite
+
 __all__ = [
     "FilterSpec",
     "BiquadCoefficients",
-    "BiquadState",
-    "design_bandpass",
     "design_bandpass_cascade",
-    "filter_step",
     "Biquad",
     "frequency_response",
 ]
@@ -37,17 +36,17 @@ _ZERO_TOL = 1e-12
 
 @dataclass(frozen=True, slots=True)
 class FilterSpec:
-    """Band-pass design request: sample rate and the two cutoff frequencies, in Hz."""
+    """Band-pass design request: sample rate and the two cutoff frequencies, in Hz.
 
-    sample_rate_hz: float
-    low_cutoff_hz: float
-    high_cutoff_hz: float
+    The defaults are the stock tuning: 100 Hz sampling, 0.305-1.615 Hz pass band.
+    """
+
+    sample_rate_hz: float = 100.0
+    low_cutoff_hz: float = 0.305
+    high_cutoff_hz: float = 1.615
 
     def __post_init__(self) -> None:
-        for name in ("sample_rate_hz", "low_cutoff_hz", "high_cutoff_hz"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value)):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        require_finite(self, ("sample_rate_hz", "low_cutoff_hz", "high_cutoff_hz"))
         if self.sample_rate_hz <= 0:
             raise ValueError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
         if not (0.0 < self.low_cutoff_hz < self.high_cutoff_hz):
@@ -79,10 +78,7 @@ class BiquadCoefficients:
     a2: float
 
     def __post_init__(self) -> None:
-        for name in ("b0", "b1", "b2", "a1", "a2"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value)):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        require_finite(self, ("b0", "b1", "b2", "a1", "a2"))
         # Stability triangle for z^2 + a1 z + a2.
         if not (abs(self.a2) < 1.0 and abs(self.a1) < 1.0 + self.a2):
             raise ValueError(
@@ -94,14 +90,6 @@ class BiquadCoefficients:
             raise ValueError("band-pass section must have zero gain at DC")
         if abs(self.b0 - self.b1 + self.b2) > _ZERO_TOL * scale:
             raise ValueError("band-pass section must have zero gain at Nyquist")
-
-
-@dataclass(frozen=True, slots=True)
-class BiquadState:
-    """Delay registers of one streaming biquad; zero at stream start."""
-
-    s1: float = 0.0
-    s2: float = 0.0
 
 
 def _prototype_poles(n: int) -> list[complex]:
@@ -168,52 +156,25 @@ def design_bandpass_cascade(spec: FilterSpec, order: int = 2) -> tuple[BiquadCoe
     return tuple(sections)
 
 
-def design_bandpass(spec: FilterSpec) -> BiquadCoefficients:
-    """Design the default second-order band-pass as a single biquad section."""
-    return design_bandpass_cascade(spec, order=2)[0]
-
-
-def filter_step(
-    coeffs: BiquadCoefficients, state: BiquadState, x: float
-) -> tuple[float, BiquadState]:
-    """Advance one biquad by one sample; returns (output, next state).
-
-    Direct-form II transposed update. Rejects non-finite input without
-    consuming it.
-    """
-    if not math.isfinite(x):
-        raise ValueError(f"filter input must be finite, got {x!r}")
-    y = coeffs.b0 * x + state.s1
-    s1 = coeffs.b1 * x - coeffs.a1 * y + state.s2
-    s2 = coeffs.b2 * x - coeffs.a2 * y
-    return y, BiquadState(s1, s2)
-
-
 class Biquad:
-    """Mutable streaming wrapper around one section.
-
-    Keeps the two delay registers in place for tight per-sample loops; the
-    arithmetic is identical to `filter_step`. One instance serves one logical
-    stream at a time.
+    """One streaming section: direct-form II transposed, delay registers zero
+    at stream start. One instance serves one logical stream at a time.
     """
 
     __slots__ = ("coeffs", "_s1", "_s2")
 
-    def __init__(self, coeffs: BiquadCoefficients, state: BiquadState | None = None):
+    def __init__(self, coeffs: BiquadCoefficients):
         self.coeffs = coeffs
-        state = state or BiquadState()
-        self._s1 = state.s1
-        self._s2 = state.s2
-
-    @property
-    def state(self) -> BiquadState:
-        return BiquadState(self._s1, self._s2)
-
-    def reset(self) -> None:
         self._s1 = 0.0
         self._s2 = 0.0
 
+    @property
+    def state(self) -> tuple[float, float]:
+        """The two delay registers (s1, s2)."""
+        return (self._s1, self._s2)
+
     def step(self, x: float) -> float:
+        """Advance by one sample; non-finite input is rejected without being consumed."""
         if not math.isfinite(x):
             raise ValueError(f"filter input must be finite, got {x!r}")
         c = self.coeffs

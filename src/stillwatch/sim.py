@@ -18,8 +18,8 @@ state, never on query order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Literal
+from dataclasses import dataclass, field, fields
+from typing import Any, Literal
 
 import numpy as np
 
@@ -39,8 +39,8 @@ __all__ = [
     "ButtonPress",
     "Scenario",
     "ScenarioSampler",
-    "generate",
     "SimulationTrace",
+    "TRACE_COLUMNS",
     "run",
     "canonical_scenario",
 ]
@@ -281,27 +281,17 @@ class ScenarioSampler:
         return RawSample(t, x, y, z)
 
 
-def generate(
-    scenario: Scenario,
-    t: float,
-    sample_rate_hz: float = 100.0,
-    motor_on: bool = False,
-) -> RawSample:
-    """Sample a scenario at one grid time; off-grid times are rejected."""
-    if not (math.isfinite(t) and 0.0 <= t <= scenario.duration_seconds):
-        raise ValueError(f"t={t!r} outside the scenario duration")
-    k_float = t * sample_rate_hz
-    k = int(round(k_float))
-    if abs(k_float - k) > 1e-6:
-        raise ValueError(
-            f"t={t} is not on the {sample_rate_hz} Hz sample grid"
-        )
-    return ScenarioSampler(scenario, sample_rate_hz).sample(k, motor_on)
+def _column(dtype: type) -> Any:
+    return field(metadata={"dtype": dtype})
 
 
 @dataclass(frozen=True, eq=False)
 class SimulationTrace:
-    """Per-tick record of a full closed-loop run, plus the detector events."""
+    """Per-tick record of a full closed-loop run, plus the detector events.
+
+    Each array field is one trace column, in field order; its dtype is
+    float64 unless the field's metadata names another.
+    """
 
     t: np.ndarray
     ax: np.ndarray
@@ -312,15 +302,23 @@ class SimulationTrace:
     sy: np.ndarray
     sz: np.ndarray
     timer: np.ndarray
-    motor: np.ndarray
-    white: np.ndarray
-    blue: np.ndarray
-    red: np.ndarray
-    option: np.ndarray
-    events: tuple[DetectorEvent, ...]
+    motor: np.ndarray = _column(np.bool_)
+    white: np.ndarray = _column(np.bool_)
+    blue: np.ndarray = _column(np.bool_)
+    red: np.ndarray = _column(np.bool_)
+    option: np.ndarray = _column(np.int64)
+    events: tuple[DetectorEvent, ...] = ()
 
     def __len__(self) -> int:
         return len(self.t)
+
+
+# (name, dtype) of every trace column, in order.
+TRACE_COLUMNS: tuple[tuple[str, type], ...] = tuple(
+    (f.name, f.metadata.get("dtype", np.float64))
+    for f in fields(SimulationTrace)
+    if f.name != "events"
+)
 
 
 def run(
@@ -352,9 +350,7 @@ def run(
     next_press = 0
 
     n = sampler.n_ticks
-    cols: dict[str, list] = {name: [] for name in (
-        "t", "ax", "ay", "az", "vm", "sx", "sy", "sz",
-        "timer", "motor", "white", "blue", "red", "option")}
+    record = np.empty(n, dtype=list(TRACE_COLUMNS))
     motor_prev = False
     for k in range(n):
         t = k / counts_config.sample_rate_hz
@@ -366,38 +362,13 @@ def run(
         snap = device.tick(count.value, t)
         motor_prev = snap.motor
         sx, sy, sz = pipeline.epoch_sums
-        cols["t"].append(t)
-        cols["ax"].append(sample.ax)
-        cols["ay"].append(sample.ay)
-        cols["az"].append(sample.az)
-        cols["vm"].append(count.value)
-        cols["sx"].append(sx)
-        cols["sy"].append(sy)
-        cols["sz"].append(sz)
-        cols["timer"].append(snap.timer_seconds)
-        cols["motor"].append(snap.motor)
-        cols["white"].append(snap.white)
-        cols["blue"].append(snap.blue)
-        cols["red"].append(snap.red)
-        cols["option"].append(snap.option)
-
-    return SimulationTrace(
-        t=np.asarray(cols["t"], dtype=np.float64),
-        ax=np.asarray(cols["ax"], dtype=np.float64),
-        ay=np.asarray(cols["ay"], dtype=np.float64),
-        az=np.asarray(cols["az"], dtype=np.float64),
-        vm=np.asarray(cols["vm"], dtype=np.float64),
-        sx=np.asarray(cols["sx"], dtype=np.float64),
-        sy=np.asarray(cols["sy"], dtype=np.float64),
-        sz=np.asarray(cols["sz"], dtype=np.float64),
-        timer=np.asarray(cols["timer"], dtype=np.float64),
-        motor=np.asarray(cols["motor"], dtype=bool),
-        white=np.asarray(cols["white"], dtype=bool),
-        blue=np.asarray(cols["blue"], dtype=bool),
-        red=np.asarray(cols["red"], dtype=bool),
-        option=np.asarray(cols["option"], dtype=np.int64),
-        events=tuple(device.events),
-    )
+        # One value per TRACE_COLUMNS entry, in that order.
+        record[k] = (
+            t, sample.ax, sample.ay, sample.az, count.value, sx, sy, sz,
+            snap.timer_seconds, snap.motor, snap.white, snap.blue, snap.red, snap.option,
+        )
+    columns = {name: record[name] for name, _ in TRACE_COLUMNS}
+    return SimulationTrace(**columns, events=tuple(device.events))
 
 
 def canonical_scenario(

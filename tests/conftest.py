@@ -8,7 +8,7 @@ from stillwatch import (
     DeviceConfig,
     FilterSpec,
     RawSample,
-    design_bandpass,
+    design_bandpass_cascade,
 )
 
 
@@ -19,7 +19,8 @@ def default_spec() -> FilterSpec:
 
 @pytest.fixture(scope="session")
 def default_coeffs(default_spec):
-    return design_bandpass(default_spec)
+    (section,) = design_bandpass_cascade(default_spec)
+    return section
 
 
 @pytest.fixture

@@ -98,6 +98,27 @@ class TestSelect:
         assert snaps[300].timer_seconds == 0.0
 
 
+class TestConfig:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(vibration_seconds=float("nan")),
+            dict(vibration_seconds=-5.0),
+            dict(blue_flash_period_seconds=float("inf")),
+            dict(inactivity_options=(10.0, float("nan"), 60.0)),
+            dict(inactivity_options=(10.0, 30.0, float("inf"))),
+        ],
+    )
+    def test_fields_must_be_positive_and_finite(self, kwargs):
+        with pytest.raises(ValueError):
+            DeviceConfig(**kwargs)
+
+    def test_option_off_the_tick_grid_fails_at_construction(self):
+        # not at the select press that would switch to it
+        with pytest.raises(ValueError, match="whole number"):
+            Device(DeviceConfig(inactivity_options=(10.0, 30.0, 0.005)))
+
+
 class TestRedLed:
     def test_red_flashes_only_during_vibration_when_enabled(self):
         device = Device(DeviceConfig(red_led_enabled_default=True))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stillwatch import (
     AmbientVibration,
@@ -245,6 +247,12 @@ class TestScenarioFormat:
              4, "missing end"),
             ("[scenario]\nduration_seconds = 5\n\n[segment]\nkind = rest\nstart = 0\nend = 4\n",
              1, "ends at 4"),
+            ("[scenario]\nduration_seconds = 5\n\n[segment]\nkind = sine\nstart = 0\nend = 5\n"
+             "axis = w\namplitude_g = 1\nfrequency_hz = 1\n", 8, "axis"),
+            ("[scenario]\nduration_seconds = 5\n\n[segment]\nkind = rest\nstart = 0\nend = 5\n"
+             "\n[button]\nt = 1\nbutton = launch\n", 11, "button must be one of"),
+            ("[scenario]\nduration_seconds = 5\n\n[segment]\nkind = rest\nstart = 0\nend = 5\n"
+             "\n[motor_feedback]\namplitude_g = 0.5\nenabled = maybe\n", 11, "enabled"),
         ],
     )
     def test_errors_carry_line_numbers(self, text, line, fragment):
@@ -256,6 +264,31 @@ class TestScenarioFormat:
     def test_missing_scenario_section(self):
         with pytest.raises(ParseError, match="missing \\[scenario\\]"):
             parse_scenario("[segment]\nkind = rest\nstart = 0\nend = 5\n")
+
+
+@st.composite
+def config_files(draw):
+    """Valid ConfigFiles: durations on the tick grid, matching sample rates."""
+    fs = draw(st.sampled_from([25.0, 50.0, 100.0, 200.0]))
+    tick = 1.0 / fs
+    ticks = st.integers(1, 100_000).map(lambda k: k * tick)
+    low = draw(st.floats(1e-3, fs / 4))
+    high = draw(st.floats(low, fs / 2, exclude_min=True, exclude_max=True))
+    deadband = draw(st.floats(1e-4, 1.0))
+    saturation = draw(st.floats(deadband, 10.0, exclude_min=True))
+    return ConfigFile(
+        filter_spec=FilterSpec(fs, low, high),
+        filter_order=draw(st.sampled_from([2, 4, 6, 8])),
+        counts=CountsConfig(
+            deadband, saturation, draw(st.floats(1e-4, 1.0)),
+            draw(st.integers(1, 500)) * tick, fs,
+        ),
+        detector=DetectorConfig(draw(st.floats(1e-3, 1e4)), draw(ticks), draw(ticks), tick),
+        device=DeviceConfig(
+            (draw(ticks), draw(ticks), draw(ticks)), draw(ticks),
+            draw(st.booleans()), draw(st.floats(1e-3, 10.0)),
+        ),
+    )
 
 
 class TestConfigFormat:
@@ -296,6 +329,30 @@ class TestConfigFormat:
             device=DeviceConfig(inactivity_options=(5.0, 10.0, 20.0)),
         )
         assert parse_config(serialize_config(custom)) == custom
+
+    @settings(max_examples=200, deadline=None)
+    @given(config_files())
+    def test_random_round_trip(self, config):
+        text = serialize_config(config)
+        assert parse_config(text) == config
+        assert serialize_config(parse_config(text)) == text
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("inactivity_options", "10, 30, 0.005"), ("vibration_seconds", "0.005")],
+    )
+    def test_device_timing_off_the_tick_grid_fails_at_the_device_line(self, key, value):
+        with pytest.raises(ParseError, match="whole number") as info:
+            parse_config(f"[counts]\nepoch_seconds = 1\n\n[device]\n{key} = {value}\n")
+        assert info.value.line == 4
+
+    def test_select_never_raises_on_a_parsed_config(self):
+        config = parse_config("[device]\ninactivity_options = 10, 30, 0.05\n")
+        device = Device(config.device, config.detector)
+        for k in range(7):
+            device.press_button("select", k * 0.01)
+            device.tick(0.0, k * 0.01)
+        assert device.selected_option == 1
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ParseError, match="unknown key"):

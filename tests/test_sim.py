@@ -17,7 +17,6 @@ from stillwatch import (
     ScenarioSampler,
     SineMovement,
     canonical_scenario,
-    generate,
     run,
 )
 from stillwatch import io as formats
@@ -87,8 +86,7 @@ class TestScenarioValidation:
 
 class TestGenerate:
     def test_rest_without_noise_is_pure_gravity(self):
-        scenario = rest_scenario(sigma=0.0)
-        sample = generate(scenario, 3.0)
+        sample = ScenarioSampler(rest_scenario(sigma=0.0)).sample(300)
         assert (sample.ax, sample.ay, sample.az) == (0.0, 0.0, 1.0)
 
     def test_sine_quarter_period_peak(self):
@@ -97,26 +95,26 @@ class TestGenerate:
             segments=(SineMovement(0.0, 10.0, "x", 0.5, 1.0),),
             noise_sigma_g=0.0,
         )
-        sample = generate(scenario, 0.25)
+        sample = ScenarioSampler(scenario).sample(25)
         assert sample.ax == pytest.approx(0.5, abs=1e-15)
         assert sample.ay == 0.0
         assert sample.az == 1.0
 
-    def test_off_grid_time_rejected(self):
-        with pytest.raises(ValueError, match="grid"):
-            generate(QUIET_MINUTE, 0.0051)
-        with pytest.raises(ValueError, match="duration"):
-            generate(QUIET_MINUTE, 61.0)
+    def test_tick_outside_scenario_rejected(self):
+        sampler = ScenarioSampler(QUIET_MINUTE)
+        for k in (-1, 6001):
+            with pytest.raises(ValueError, match="outside"):
+                sampler.sample(k)
 
     def test_same_seed_same_samples(self):
         scenario = rest_scenario(seed=77)
-        a = [generate(scenario, k / 100.0) for k in range(50)]
-        b = [generate(scenario, k / 100.0) for k in range(50)]
+        a = [ScenarioSampler(scenario).sample(k) for k in range(50)]
+        b = [ScenarioSampler(scenario).sample(k) for k in range(50)]
         assert a == b
 
     def test_different_seeds_differ(self):
-        a = generate(rest_scenario(seed=1), 0.5)
-        b = generate(rest_scenario(seed=2), 0.5)
+        a = ScenarioSampler(rest_scenario(seed=1)).sample(50)
+        b = ScenarioSampler(rest_scenario(seed=2)).sample(50)
         assert (a.ax, a.ay, a.az) != (b.ax, b.ay, b.az)
 
     def test_noise_is_per_tick_reproducible(self):

@@ -2,7 +2,8 @@
 
 Per axis and per sample: band-pass filter, rectify, apply the dead-band and
 saturation thresholds, convert to a count contribution, and accumulate over a
-sliding one-second epoch. The three per-axis epoch sums are combined into a
+sliding one-second epoch, summed exactly (`AxisWindow`): each epoch sum is the
+correctly rounded sum of its window. The three per-axis epoch sums form a
 vector-magnitude (VM) count once per input sample, so a fresh VM value covers
 the trailing epoch at every tick.
 
@@ -14,8 +15,9 @@ second, so one sample contributes `y / scale / sample_rate` counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+import sys
+from dataclasses import dataclass, fields
+from typing import Sequence
 
 from ._checks import require_finite
 from .filters import Biquad, BiquadCoefficients, FilterSpec, design_bandpass_cascade
@@ -31,8 +33,13 @@ __all__ = [
     "CountsPipeline",
 ]
 
-# Tolerance on consecutive sample spacing, seconds.
-_GRID_TOL = 1e-9
+def check_sample_step(prev_t: float, t: float, sample_rate_hz: float) -> None:
+    """Raise ValueError unless t follows prev_t by one sample period, within 1 ns."""
+    step = t - prev_t
+    if not (step > 0 and abs(step - 1.0 / sample_rate_hz) <= 1e-9):
+        raise ValueError(
+            f"sample at t={t} is not one {sample_rate_hz} Hz step after t={prev_t}"
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,17 +66,7 @@ class CountsConfig:
     sample_rate_hz: float = 100.0
 
     def __post_init__(self) -> None:
-        require_finite(
-            self,
-            (
-                "deadband_g",
-                "saturation_g",
-                "scale_g_per_sec_per_count",
-                "epoch_seconds",
-                "sample_rate_hz",
-            ),
-            positive=True,
-        )
+        require_finite(self, [f.name for f in fields(self)], positive=True)
         if not self.deadband_g < self.saturation_g:
             raise ValueError(
                 f"deadband_g={self.deadband_g} must be below saturation_g={self.saturation_g}"
@@ -79,6 +76,7 @@ class CountsConfig:
             raise ValueError(
                 f"epoch_seconds * sample_rate_hz must be a positive integer, got {n}"
             )
+        _quantum_shift(self)
 
     @property
     def window_samples(self) -> int:
@@ -126,53 +124,68 @@ def vm(sx: float, sy: float, sz: float) -> float:
     return math.sqrt(sx * sx + sy * sy + sz * sz)
 
 
-class AxisWindow:
-    """Sliding-epoch accumulator: a ring buffer with an O(1) running sum.
+def _quantum_shift(cfg: CountsConfig) -> int:
+    """The S that makes every contribution under `cfg` a whole multiple of 2**-S.
 
-    The running sum is maintained incrementally; it snaps back to an exactly
-    rounded value every full buffer turn (and to exact zero whenever no
-    nonzero contribution remains), so float drift never accumulates.
+    A nonzero contribution is at least the dead-band's, c_min, so its last
+    mantissa bit is worth at least 2**(e - 53), e = frexp(c_min)[1]: S = 53 - e
+    (57 by default). Rejected: a subnormal c_min, 2**S beyond a double, or a
+    saturated epoch of 2**1023 quanta or more (a dead-band below ~2e-290 g).
+    """
+    c_min = contribution(cfg.deadband_g, cfg)
+    shift = 53 - math.frexp(c_min)[1]
+    top = math.frexp(contribution(cfg.saturation_g, cfg))[1] + shift
+    if c_min < sys.float_info.min or shift > 1023 or top + cfg.window_samples.bit_length() > 1023:
+        raise ValueError(
+            f"contributions from deadband_g={cfg.deadband_g} to saturation_g={cfg.saturation_g} "
+            "are too small or too far apart to sum exactly"
+        )
+    return shift
+
+
+class AxisWindow:
+    """Sliding-epoch accumulator: a ring buffer with an exact running sum.
+
+    Each slot holds a contribution's whole number of quanta 2**-S (S from
+    `_quantum_shift`) as an integral double, zeros included, so the window
+    holds the same memory whatever the signal (an int near 2**57 is a third
+    larger than a double, and a shared int 0 would make the size vary). The
+    running sum is a Python int, so it never drifts; one correctly rounded
+    conversion makes each epoch sum `math.fsum` of its window, 0.0 at rest.
     """
 
-    __slots__ = ("_buf", "_idx", "_sum", "_nonzero", "_pushes")
+    __slots__ = ("_buf", "_idx", "_sum", "_up", "_down", "_qmax")
 
-    def __init__(self, capacity: int):
-        if not isinstance(capacity, int) or capacity < 1:
-            raise ValueError(f"capacity must be a positive integer, got {capacity!r}")
-        self._buf = [0.0] * capacity
+    def __init__(self, config: CountsConfig):
+        shift = _quantum_shift(config)
+        self._up = 2.0**shift
+        self._down = 2.0**-shift
+        self._qmax = contribution(config.saturation_g, config) * self._up
+        self._buf = [0] * config.window_samples
         self._idx = 0
-        self._sum = 0.0
-        self._nonzero = 0
-        self._pushes = 0
-
-    @property
-    def capacity(self) -> int:
-        return len(self._buf)
+        self._sum = 0
 
     @property
     def value(self) -> float:
         """Current epoch sum."""
-        return self._sum
+        return self._sum * self._down
 
     def push(self, c: float) -> float:
-        """Insert one contribution, evict the oldest, return the new epoch sum."""
-        if not (math.isfinite(c) and c >= 0.0):
-            raise ValueError(f"contribution must be finite and nonnegative, got {c!r}")
+        """Insert one contribution, evict the oldest, return the new epoch sum.
+        Anything but a whole number of quanta up to saturation is rejected."""
+        x = c * self._up
+        if not (0.0 <= x <= self._qmax and x.is_integer()):
+            raise ValueError(
+                f"contribution must be a multiple of {self._down!r} up to saturation, got {c!r}"
+            )
         buf = self._buf
-        old = buf[self._idx]
-        buf[self._idx] = c
-        self._idx = (self._idx + 1) % len(buf)
-        self._sum += c - old
-        if old != 0.0:
-            self._nonzero -= 1
-        if c != 0.0:
-            self._nonzero += 1
-        self._pushes += 1
-        if self._nonzero == 0:
-            self._sum = 0.0
-        elif self._pushes % len(buf) == 0:
-            self._sum = math.fsum(buf)
-        return self._sum
+        i = self._idx
+        old = buf[i]
+        if x or old:
+            self._sum += int(x) - int(old)
+        buf[i] = x
+        self._idx = (i + 1) % len(buf)
+        return self._sum * self._down
 
 
 class CountsPipeline:
@@ -195,8 +208,7 @@ class CountsPipeline:
         if not self.sections:
             raise ValueError("at least one filter section is required")
         self._filters = [[Biquad(c) for c in self.sections] for _ in range(3)]
-        self._windows = [AxisWindow(self.config.window_samples) for _ in range(3)]
-        self._dt = 1.0 / self.config.sample_rate_hz
+        self._windows = [AxisWindow(self.config) for _ in range(3)]
         self._last_t: float | None = None
         self._sums = (0.0, 0.0, 0.0)
 
@@ -229,18 +241,9 @@ class CountsPipeline:
         Samples must arrive in time order at the configured rate; a rejected
         sample leaves the pipeline state untouched.
         """
-        if self._last_t is not None:
-            dt = sample.t - self._last_t
-            if dt <= 0:
-                raise ValueError(
-                    f"out-of-order sample: t={sample.t} after t={self._last_t}"
-                )
-            if abs(dt - self._dt) > _GRID_TOL:
-                raise ValueError(
-                    f"sample spacing {dt} s does not match "
-                    f"{self.config.sample_rate_hz} Hz"
-                )
         cfg = self.config
+        if self._last_t is not None:
+            check_sample_step(self._last_t, sample.t, cfg.sample_rate_hz)
         sums = []
         for value, chain, window in zip(
             (sample.ax, sample.ay, sample.az), self._filters, self._windows
@@ -252,6 +255,3 @@ class CountsPipeline:
         self._last_t = sample.t
         self._sums = (sums[0], sums[1], sums[2])
         return VmCount(sample.t, vm(sums[0], sums[1], sums[2]))
-
-    def process(self, samples: Iterable[RawSample]) -> list[VmCount]:
-        return [self.process_sample(s) for s in samples]

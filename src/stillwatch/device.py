@@ -126,10 +126,6 @@ class Device:
         """Detector configuration currently in force."""
         return self._detector_cfg
 
-    @property
-    def detector_state(self) -> DetectorState:
-        return self._state
-
     def press_button(self, button: Button, t: float) -> None:
         """Apply one button press at time t. All presses are no-ops while off."""
         if button not in _BUTTONS:

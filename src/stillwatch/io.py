@@ -42,7 +42,7 @@ from typing import Callable, Iterable, Literal, Sequence
 
 import numpy as np
 
-from .counts import CountsConfig, RawSample
+from .counts import CountsConfig, RawSample, check_sample_step
 from .detector import DetectorConfig, DetectorEvent, EventKind
 from .device import Button, DeviceConfig, DeviceSnapshot
 from .filters import FilterSpec
@@ -226,8 +226,8 @@ def _format_rows(header: str, columns: Sequence[_Codec], rows: Iterable[Sequence
 def parse_samples(
     text: str, sample_rate_hz: float = CountsConfig().sample_rate_hz
 ) -> list[RawSample]:
-    """Parse a raw sample CSV, checking monotone timestamps on the sample grid."""
-    dt = 1.0 / sample_rate_hz
+    """Parse a raw sample CSV, checking that each timestamp is one sample
+    period after the one before."""
     samples: list[RawSample] = []
     prev_t: float | None = None
     for i, fields in _csv_rows(text, SAMPLES_HEADER):
@@ -236,13 +236,10 @@ def parse_samples(
         ay = _parse_float(fields[2], i, "ay")
         az = _parse_float(fields[3], i, "az")
         if prev_t is not None:
-            step = t - prev_t
-            if step <= 0:
-                raise ParseError(f"non-monotone timestamp {t} after {prev_t}", i)
-            if abs(step - dt) > 1e-9:
-                raise ParseError(
-                    f"sample spacing {step} s does not match {sample_rate_hz} Hz", i
-                )
+            try:
+                check_sample_step(prev_t, t, sample_rate_hz)
+            except ValueError as e:
+                raise ParseError(str(e), i) from None
         prev_t = t
         samples.append(RawSample(t, ax, ay, az))
     return samples

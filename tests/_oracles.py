@@ -2,12 +2,14 @@
 
 Everything here is deliberately written against the *definitions* rather than
 the library internals: filtering via a direct-form I loop (and scipy), window
-sums by explicit re-summation of each trailing window, and detector event
-instants by arithmetic scanning of the movement ticks instead of a per-tick
-state machine.
+sums by exact re-summation (`math.fsum`) of each trailing window, and
+detector event instants by arithmetic scanning of the movement ticks instead
+of a per-tick state machine.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy import signal
@@ -58,12 +60,11 @@ def scipy_sos_gain(sos: np.ndarray, freqs, fs: float) -> np.ndarray:
     return np.abs(h)
 
 
-def brute_window_sums(contributions, window: int) -> np.ndarray:
-    """Trailing-window sums by explicitly re-summing every window."""
-    c = np.asarray(contributions, dtype=float)
-    padded = np.concatenate([np.zeros(window - 1), c])
-    views = np.lib.stride_tricks.sliding_window_view(padded, window)
-    return views.sum(axis=1)
+def fsum_window_sums(contributions, window: int) -> np.ndarray:
+    """Trailing-window sums, each re-summed exactly by `math.fsum` (the first
+    windows are shorter: the stream starts from an empty epoch)."""
+    c = [float(x) for x in contributions]
+    return np.array([math.fsum(c[max(0, k + 1 - window) : k + 1]) for k in range(len(c))])
 
 
 def offline_counts(xyz: np.ndarray, sections, cfg: CountsConfig):
@@ -81,7 +82,7 @@ def offline_counts(xyz: np.ndarray, sections, cfg: CountsConfig):
         r = np.where(r < cfg.deadband_g, 0.0, r)
         r = np.where(r > cfg.saturation_g, cfg.saturation_g, r)
         c = r / cfg.scale_g_per_sec_per_count / cfg.sample_rate_hz
-        sums[:, axis] = brute_window_sums(c, window)
+        sums[:, axis] = fsum_window_sums(c, window)
     return np.sqrt((sums**2).sum(axis=1)), sums
 
 

@@ -28,7 +28,7 @@ from stillwatch import (
 from stillwatch import io as formats
 
 from conftest import make_samples, random_vm_trace
-from _oracles import brute_window_sums, detector_event_oracle
+from _oracles import detector_event_oracle, fsum_window_sums
 
 TICK = 0.01
 
@@ -122,7 +122,6 @@ def test_criterion_4_canonical_scenario_reproduction():
 def test_criterion_5_sliding_window_oracle():
     rng = np.random.default_rng(77)
     cfg = CountsPipeline.from_spec().config
-    worst = 0.0
     for stream in range(100):
         n = 3000  # 30 s
         xyz = rng.normal(0.0, 0.5, (n, 3))
@@ -141,13 +140,8 @@ def test_criterion_5_sliding_window_oracle():
             for biquad in chain:
                 ys = biquad.process(ys)
             cs = [contribution(rectify_threshold(y, cfg), cfg) for y in ys]
-            brute = brute_window_sums(cs, cfg.window_samples)
-            scale = np.maximum(np.abs(brute), 1.0)
-            err = np.max(np.abs(sums[:, axis] - brute) / scale)
-            worst = max(worst, err)
-            assert err < 1e-9
-    _report(5, f"100 random 30 s streams: epoch sums match brute-force "
-               f"re-summation (worst relative error {worst:.2e})")
+            assert np.array_equal(sums[:, axis], fsum_window_sums(cs, cfg.window_samples))
+    _report(5, "100 random 30 s streams: every epoch sum equals math.fsum of its window")
 
 
 def test_criterion_6_detector_oracle_equivalence():

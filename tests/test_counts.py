@@ -1,10 +1,14 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stillwatch import (
     AxisWindow,
+    Biquad,
     CountsConfig,
     CountsPipeline,
     RawSample,
@@ -14,7 +18,7 @@ from stillwatch import (
 )
 
 from conftest import make_samples, run_pipeline
-from _oracles import brute_window_sums, offline_counts
+from _oracles import fsum_window_sums, offline_counts
 
 # Saturated contribution per sample and the resulting VM ceiling, both fixed
 # by the default constants: 2.13 / 0.01664 / 100 and sqrt(3) * 2.13 / 0.01664.
@@ -81,42 +85,116 @@ class TestVm:
             vm(-1.0, 0.0, 0.0)
 
 
-class TestAxisWindow:
-    def test_constant_fill(self):
-        window = AxisWindow(100)
-        for _ in range(100):
-            result = window.push(0.01)
-        assert result == 1.0
+def thresholded(ys, cfg: CountsConfig) -> list[float]:
+    """The contributions the pipeline would push for filtered values ys."""
+    return [contribution(rectify_threshold(float(y), cfg), cfg) for y in ys]
 
-    def test_drains_to_exact_zero(self):
+
+class TestAxisWindow:
+    def test_constant_fill(self, counts_cfg):
+        window = AxisWindow(counts_cfg)
+        (c,) = thresholded([0.1664], counts_cfg)
+        assert c == 0.1
+        for _ in range(100):
+            result = window.push(c)
+        # adding 0.1 a hundred times in floats gives 9.99999999999998
+        assert result == 10.0
+
+    def test_drains_to_exact_zero(self, counts_cfg):
         rng = np.random.default_rng(22)
-        window = AxisWindow(100)
-        for c in rng.uniform(0.0, 2.0, 137):
-            window.push(float(c))
+        window = AxisWindow(counts_cfg)
+        for c in thresholded(rng.uniform(-3.0, 3.0, 137), counts_cfg):
+            window.push(c)
         for _ in range(100):
             result = window.push(0.0)
         assert result == 0.0
 
-    def test_matches_brute_force_resummation(self):
+    def test_matches_brute_force_resummation(self, counts_cfg):
         rng = np.random.default_rng(23)
-        contributions = rng.uniform(0.0, 1.3, 2500)
-        contributions[rng.uniform(size=2500) < 0.3] = 0.0
-        window = AxisWindow(100)
-        streamed = np.array([window.push(float(c)) for c in contributions])
-        brute = brute_window_sums(contributions, 100)
-        scale = np.maximum(np.abs(brute), 1.0)
-        assert np.max(np.abs(streamed - brute) / scale) < 1e-9
+        ys = rng.uniform(-3.0, 3.0, 2500)
+        ys[rng.uniform(size=2500) < 0.3] = 0.0
+        contributions = thresholded(ys, counts_cfg)
+        window = AxisWindow(counts_cfg)
+        streamed = np.array([window.push(c) for c in contributions])
+        assert np.array_equal(streamed, fsum_window_sums(contributions, 100))
 
-    def test_rejects_negative_and_nonfinite(self):
-        window = AxisWindow(10)
-        with pytest.raises(ValueError):
-            window.push(-0.1)
-        with pytest.raises(ValueError):
-            window.push(float("inf"))
+    def test_rejects_negative_and_nonfinite(self, counts_cfg):
+        window = AxisWindow(counts_cfg)
+        window.push(0.5)
+        for bad in (-0.1, float("inf"), float("nan"), 2.0**-60, SATURATED_CONTRIBUTION * 2):
+            with pytest.raises(ValueError, match="multiple of"):
+                window.push(bad)
+        assert window.value == 0.5
 
     def test_rejects_bad_capacity(self):
-        with pytest.raises(ValueError):
-            AxisWindow(0)
+        # A window holds one epoch of samples, which the config keeps positive.
+        with pytest.raises(ValueError, match="positive finite"):
+            CountsConfig(epoch_seconds=0.0)
+        with pytest.raises(ValueError, match="positive integer"):
+            CountsConfig(epoch_seconds=0.004)
+
+
+@st.composite
+def window_cases(draw):
+    """A random valid config and a filtered stream for one axis: values at the
+    dead-band and saturation edges, anywhere in between or beyond, repeats,
+    and runs of zeros longer than the epoch."""
+    fs = draw(st.sampled_from([25.0, 50.0, 100.0, 200.0]))
+    n = draw(st.integers(1, 120))
+    deadband = draw(st.floats(1e-200, 1e3))
+    saturation = draw(st.floats(deadband, deadband * 1e6, exclude_min=True))
+    cfg = CountsConfig(deadband, saturation, draw(st.floats(1e-4, 1e2)), n / fs, fs)
+    edges = [deadband, -deadband, math.nextafter(deadband, 0.0), saturation, -saturation]
+    level = st.one_of(st.sampled_from(edges), st.floats(-2 * saturation, 2 * saturation))
+    segment = st.one_of(
+        st.tuples(level, st.just(1)),
+        st.tuples(level, st.integers(1, 2 * n)),
+        st.tuples(st.just(0.0), st.integers(n, 3 * n)),
+    )
+    ys = [y for y, k in draw(st.lists(segment, max_size=12)) for _ in range(k)]
+    return cfg, ys
+
+
+class TestAxisWindowExact:
+    @settings(max_examples=150, deadline=None)
+    @given(window_cases())
+    def test_every_sum_is_fsum_of_the_window(self, case):
+        cfg, ys = case
+        n = cfg.window_samples
+        window = AxisWindow(cfg)
+        recent = deque([0.0] * n, maxlen=n)
+        for c in thresholded(ys, cfg):
+            recent.append(c)
+            assert window.push(c) == math.fsum(recent) == window.value
+        for _ in range(n):
+            result = window.push(0.0)
+        assert result == 0.0 and math.copysign(1.0, result) == 1.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(window_cases(), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_invalid_push_changes_nothing(self, case, fraction):
+        cfg, ys = case
+        c_min, c_sat = thresholded([cfg.deadband_g, cfg.saturation_g], cfg)
+        # every nonzero contribution is a multiple of c_min's lowest mantissa bit
+        quantum = math.ldexp(1.0, math.frexp(c_min)[1] - 53)
+        below = c_min * fraction
+        bad = [-c_min, -quantum, math.nan, math.inf, -math.inf, quantum / 2]
+        bad += [math.nextafter(c_sat, math.inf), 2 * c_sat]
+        if below / quantum != int(below / quantum):
+            bad.append(below)
+        window = AxisWindow(cfg)
+        twin = AxisWindow(cfg)
+        contributions = thresholded(ys, cfg)
+        for c in contributions:
+            window.push(c)
+            twin.push(c)
+        before = window.value
+        for c in bad:
+            with pytest.raises(ValueError):
+                window.push(c)
+            assert window.value == before
+        for c in contributions[: 2 * cfg.window_samples]:
+            assert window.push(c) == twin.push(c)
 
 
 class TestConfig:
@@ -127,6 +205,22 @@ class TestConfig:
     def test_epoch_must_be_integer_samples(self):
         with pytest.raises(ValueError, match="positive integer"):
             CountsConfig(epoch_seconds=0.505, sample_rate_hz=100.0)
+
+    @pytest.mark.parametrize(
+        "deadband,saturation,scale",
+        [
+            (1e-300, 2e-300, 1e300),  # the dead-band's contribution underflows to 0
+            (1e-10, 2e-10, 1e300),  # ... or is subnormal
+            (1e-295, 2e-295, 0.01664),  # 2**S, its quanta per unit, overflows a double
+            (1e-291, 2.13, 0.01664),  # a saturated epoch reaches 2**1023 quanta
+        ],
+    )
+    def test_contributions_must_sum_exactly_in_doubles(self, deadband, saturation, scale):
+        with pytest.raises(ValueError, match="sum exactly"):
+            CountsConfig(deadband, saturation, scale)
+
+    def test_tiny_deadband_accepted_while_exact(self):
+        assert AxisWindow(CountsConfig(deadband_g=1e-289)).push(0.0) == 0.0
 
     def test_window_samples(self):
         assert CountsConfig().window_samples == 100
@@ -213,9 +307,9 @@ class TestPipeline:
         for s in samples[:5]:
             pipeline.process_sample(s)
             twin.process_sample(s)
-        with pytest.raises(ValueError, match="out-of-order"):
+        with pytest.raises(ValueError, match="not one 100.0 Hz step after"):
             pipeline.process_sample(RawSample(0.01, 0.0, 0.0, 1.0))
-        with pytest.raises(ValueError, match="spacing"):
+        with pytest.raises(ValueError, match="not one 100.0 Hz step after"):
             pipeline.process_sample(RawSample(0.06, 0.0, 0.0, 1.0))
         # the rejected calls must not have advanced anything
         for s in samples[5:]:
@@ -247,15 +341,11 @@ class TestPipeline:
         xyz[:, 2] += 1.0
         _, sums = run_pipeline(xyz)
         # reference contributions from the same designed filter, then
-        # brute-force trailing-window sums
+        # exactly re-summed trailing windows
         for axis in range(3):
-            from stillwatch import Biquad
-
             chain = [Biquad(c) for c in pipeline.sections]
             ys = xyz[:, axis]
             for biquad in chain:
                 ys = biquad.process(ys)
-            cs = [contribution(rectify_threshold(y, cfg), cfg) for y in ys]
-            brute = brute_window_sums(cs, cfg.window_samples)
-            scale = np.maximum(np.abs(brute), 1.0)
-            assert np.max(np.abs(sums[:, axis] - brute) / scale) < 1e-9
+            expected = fsum_window_sums(thresholded(ys, cfg), cfg.window_samples)
+            assert np.array_equal(sums[:, axis], expected)

@@ -123,8 +123,8 @@ class TestSamples:
             ("t,ax,ay,az\n0.0,1,2\n", 2, "expected 4 fields"),
             ("t,ax,ay,az\n0.0,1,2,x\n", 2, "not a number"),
             ("t,ax,ay,az\n0.0,1,2,inf\n", 2, "finite"),
-            ("t,ax,ay,az\n0.02,0,0,1\n0.01,0,0,1\n", 3, "non-monotone"),
-            ("t,ax,ay,az\n0.00,0,0,1\n0.02,0,0,1\n", 3, "spacing"),
+            ("t,ax,ay,az\n0.02,0,0,1\n0.01,0,0,1\n", 3, "not one 100.0 Hz step after"),
+            ("t,ax,ay,az\n0.00,0,0,1\n0.02,0,0,1\n", 3, "not one 100.0 Hz step after"),
             ("t,ax,ay,az\n0.00,0,0,1\n\n0.01,0,0,1\n", 3, "blank line"),
         ],
     )
@@ -308,6 +308,12 @@ class TestConfigFormat:
     def test_violated_invariant_is_named(self):
         with pytest.raises(ParseError, match="deadband_g"):
             parse_config("[counts]\ndeadband_g = 2.2\n")
+
+    def test_inexact_counts_config_reported_on_its_section(self):
+        text = "[detector]\ninactivity_seconds = 20\n\n[counts]\ndeadband_g = 1e-300\n"
+        with pytest.raises(ParseError, match="sum exactly") as info:
+            parse_config(text)
+        assert info.value.line == 4
 
     def test_cross_section_consistency(self):
         with pytest.raises(ParseError, match="does not match"):

@@ -1,0 +1,189 @@
+"""Write the standard tree of CLI outputs, for byte-identity checks between commits.
+
+Usage: python3 scripts/cli_outputs.py OUT_DIR
+
+The inputs are fixed: a 300 s sample CSV drawn with numpy (rest, desk work,
+walking and saturating movement), a custom configuration and a scenario with
+motor feedback and button presses, all written as text here rather than by
+stillwatch. From them the script runs `counts` and `detect` (stock and custom
+configuration), `simulate` (trace and events, both configurations),
+`design-filter --order 2/4/6` and `figure3`, and round-trips the configuration
+and scenario files through their parsers and serializers. Everything lands
+under OUT_DIR, so two commits compare with one command:
+
+    PYTHONPATH=path/to/other/src python3 scripts/cli_outputs.py /tmp/other
+    python3 scripts/cli_outputs.py /tmp/this
+    diff -r /tmp/other /tmp/this
+
+stillwatch is imported from PYTHONPATH when it is there, and otherwise from
+the `src` directory next to this script.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import numpy as np
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))
+
+import stillwatch  # noqa: E402
+from stillwatch import io as formats  # noqa: E402
+from stillwatch.cli import main  # noqa: E402
+
+FS = 100.0
+SECONDS = 300
+
+CUSTOM_CONFIG = """\
+[filter]
+low_cutoff_hz = 0.25
+high_cutoff_hz = 2.0
+order = 4
+
+[counts]
+deadband_g = 0.05
+saturation_g = 3.0
+epoch_seconds = 2.0
+
+[detector]
+count_threshold = 100
+inactivity_seconds = 20
+
+[device]
+inactivity_options = 20, 40, 60
+vibration_seconds = 4
+"""
+
+SCENARIO = """\
+[scenario]
+duration_seconds = 120
+seed = 2020
+noise_sigma_g = 0.003
+
+[segment]
+kind = rest
+start = 0
+end = 15
+
+[segment]
+kind = burst
+start = 15
+end = 19
+amplitude_g = 3.0
+center_frequency_hz = 1.0
+
+[segment]
+kind = rest
+start = 19
+end = 50
+
+[segment]
+kind = sine
+start = 50
+end = 58
+axis = y
+amplitude_g = 0.9
+frequency_hz = 1.2
+
+[segment]
+kind = ambient
+start = 58
+end = 90
+amplitude_g = 0.2
+frequency_hz = 12
+
+[segment]
+kind = rest
+start = 90
+end = 120
+
+[motor_feedback]
+enabled = true
+amplitude_g = 0.5
+frequency_hz = 20
+
+[button]
+t = 30.0
+button = select
+
+[button]
+t = 70.0
+button = red
+"""
+
+
+def samples_csv() -> str:
+    """SECONDS of numpy-drawn 3-axis samples in stretches of rest, desk work,
+    walking and saturating movement, with gravity on z and sensor noise."""
+    rng = np.random.default_rng(2020)
+    n = int(SECONDS * FS)
+    t = np.arange(n) / FS
+    xyz = rng.normal(0.0, 0.003, (n, 3))
+    xyz[:, 2] += 1.0
+    start = 0
+    while start < n:
+        stop = min(n, start + int(rng.integers(500, 4000)))
+        kind = rng.integers(4)
+        local = t[start:stop] - t[start]
+        if kind == 1:  # desk work: small broadband jitter
+            xyz[start:stop] += rng.normal(0.0, 0.03, (stop - start, 3))
+        elif kind == 2:  # walking: a stride tone and its harmonic on every axis
+            amp = rng.uniform(0.3, 1.2, 3)
+            stride = rng.uniform(0.8, 1.1)
+            wave = np.sin(2 * np.pi * stride * local) + 0.3 * np.sin(4 * np.pi * stride * local)
+            xyz[start:stop] += np.outer(wave, amp)
+        elif kind == 3:  # vigorous movement, beyond saturation
+            xyz[start:stop] += np.outer(np.sin(2 * np.pi * 0.8 * local), rng.uniform(2.5, 4.0, 3))
+        start = stop
+    rows = [f"{a!r},{b!r},{c!r},{d!r}" for a, b, c, d in zip(t.tolist(), *xyz.T.tolist())]
+    return "t,ax,ay,az\n" + "\n".join(rows) + "\n"
+
+
+def run(argv: list[str]) -> str:
+    """Run one CLI command in process; return what it printed."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    if code != 0:
+        raise SystemExit(f"stillwatch {' '.join(argv)} exited with {code}")
+    return out.getvalue()
+
+
+def write(path: Path, text: str) -> str:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8", newline="\n")
+    return str(path)
+
+
+def write_tree(out_dir: Path) -> None:
+    inputs = out_dir / "inputs"
+    samples = write(inputs / "samples.csv", samples_csv())
+    custom = write(inputs / "custom.cfg", CUSTOM_CONFIG)
+    scenario = write(inputs / "scenario.txt", SCENARIO)
+    for name, config in (("default", []), ("custom", ["--config", custom])):
+        run(["counts", samples, *config, "-o", str(out_dir / f"counts_{name}.csv")])
+        run(["detect", samples, *config, "-o", str(out_dir / f"detect_{name}.csv")])
+        run(["simulate", scenario, *config, "-o", str(out_dir / f"simulate_{name}_trace.csv"),
+             "--events", str(out_dir / f"simulate_{name}_events.csv")])
+    for order in (2, 4, 6):
+        write(out_dir / f"design_filter_order{order}.txt",
+              run(["design-filter", "--order", str(order)]))
+    run(["figure3", "-o", str(out_dir / "figure3")])
+    write(out_dir / "config_default.txt", formats.serialize_config(formats.ConfigFile()))
+    write(out_dir / "config_custom.txt",
+          formats.serialize_config(formats.parse_config(CUSTOM_CONFIG)))
+    write(out_dir / "scenario_canonical.txt",
+          formats.serialize_scenario(stillwatch.canonical_scenario()))
+    write(out_dir / "scenario_custom.txt",
+          formats.serialize_scenario(formats.parse_scenario(SCENARIO)))
+    files = sum(1 for p in out_dir.rglob("*") if p.is_file())
+    print(f"wrote {files} files under {out_dir} with {Path(stillwatch.__file__).parent}")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        raise SystemExit(__doc__.split("\n\n")[1])
+    write_tree(Path(sys.argv[1]))

@@ -14,6 +14,7 @@ second, so one sample contributes `y / scale / sample_rate` counts.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -188,6 +189,27 @@ class AxisWindow:
         return self._sum * self._down
 
 
+def _input_limit(sections: Sequence[BiquadCoefficients]) -> float:
+    """The largest input magnitude the cascade filters without overflow,
+    whatever inputs within it came before (4.8e305 g for the stock band-pass).
+
+    A stable section whose poles have radius at most r has an impulse response
+    of l1 norm at most H = |b|_1 / (1 - r)**2. That bounds its output and its
+    s1 register per unit of input, and every other intermediate sum of
+    `Biquad.step` stays below K = |b|_1 + (1 + |a1| + |a2|) H. Sections chain
+    by H; a factor of 2 covers rounding.
+    """
+    gain = worst = 1.0
+    for c in sections:
+        d = cmath.sqrt(c.a1 * c.a1 - 4.0 * c.a2)
+        radius = max(abs(-c.a1 + d), abs(-c.a1 - d)) / 2.0
+        b_sum = abs(c.b0) + abs(c.b1) + abs(c.b2)
+        h = b_sum / (1.0 - radius) ** 2
+        worst = max(worst, gain * (b_sum + (1.0 + abs(c.a1) + abs(c.a2)) * h))
+        gain *= h
+    return sys.float_info.max / (2.0 * worst)
+
+
 class CountsPipeline:
     """Streaming chain from raw samples to VM counts.
 
@@ -209,6 +231,7 @@ class CountsPipeline:
             raise ValueError("at least one filter section is required")
         self._filters = [[Biquad(c) for c in self.sections] for _ in range(3)]
         self._windows = [AxisWindow(self.config) for _ in range(3)]
+        self._input_limit = _input_limit(self.sections)
         self._last_t: float | None = None
         self._sums = (0.0, 0.0, 0.0)
 
@@ -238,12 +261,19 @@ class CountsPipeline:
     def process_sample(self, sample: RawSample) -> VmCount:
         """Advance every stage by one sample and emit the VM count.
 
-        Samples must arrive in time order at the configured rate; a rejected
-        sample leaves the pipeline state untouched.
+        Samples must arrive in time order at the configured rate, each axis
+        within the filters' overflow-free range; both are checked before any
+        state changes, so a rejected sample leaves the pipeline untouched.
         """
         cfg = self.config
         if self._last_t is not None:
             check_sample_step(self._last_t, sample.t, cfg.sample_rate_hz)
+        limit = self._input_limit
+        if not (abs(sample.ax) <= limit and abs(sample.ay) <= limit and abs(sample.az) <= limit):
+            raise ValueError(
+                f"sample at t={sample.t} exceeds {limit:.3g} g, beyond which the filters "
+                "could overflow"
+            )
         sums = []
         for value, chain, window in zip(
             (sample.ax, sample.ay, sample.az), self._filters, self._windows

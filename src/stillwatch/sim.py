@@ -10,9 +10,12 @@ previous tick, the configured vibration tone is added to all three axes of
 the next sample. The band-pass filter has to strip that tone for the watch to
 behave identically with and without feedback.
 
-Determinism: the noise for tick k is drawn from a generator seeded with
-(seed, k), so a sample depends only on the scenario, the seed and the motor
-state, never on query order.
+Determinism: noise is drawn in blocks of 256 ticks. Block b is
+`numpy.random.default_rng((seed, b)).normal(0, sigma, (256, 3))` and tick k
+takes row k % 256 of block k // 256, the block index serving as the counter
+of a counter-keyed generator. A sample therefore depends only on the
+scenario, the seed, the tick and the motor state, never on query order or
+scenario length, and one generator serves 256 ticks instead of one.
 """
 
 from __future__ import annotations
@@ -211,11 +214,9 @@ def _segment_signal(segment: Segment, t: float) -> tuple[float, float, float]:
     return (value, value, value)
 
 
-def _noise(seed: int, k: int, sigma: float) -> tuple[float, float, float]:
-    if sigma == 0.0:
-        return (0.0, 0.0, 0.0)
-    draw = np.random.default_rng((seed, k)).normal(0.0, sigma, 3)
-    return (float(draw[0]), float(draw[1]), float(draw[2]))
+# Ticks per noise block. Part of the definition of the noise, not a setting:
+# changing it changes every noisy sample.
+_NOISE_BLOCK = 256
 
 
 class ScenarioSampler:
@@ -248,6 +249,9 @@ class ScenarioSampler:
         self.scenario = scenario
         self.sample_rate_hz = sample_rate_hz
         self.n_ticks = int(round(ticks))
+        # The one noise block held: its index and its rows, drawn on first use.
+        self._block_index = -1
+        self._block: list[list[float]] = []
 
     def _segment_at(self, t: float) -> Segment:
         # Last segment whose start is <= t; tiling guarantees it covers t.
@@ -268,7 +272,16 @@ class ScenarioSampler:
         t = k / self.sample_rate_hz
         segment = self._segment_at(t)
         x, y, z = _segment_signal(segment, t)
-        nx, ny, nz = _noise(self.scenario.seed, k, self.scenario.noise_sigma_g)
+        sigma = self.scenario.noise_sigma_g
+        if sigma:
+            b, row = divmod(k, _NOISE_BLOCK)
+            if b != self._block_index:
+                rng = np.random.default_rng((self.scenario.seed, b))
+                self._block = rng.normal(0.0, sigma, (_NOISE_BLOCK, 3)).tolist()
+                self._block_index = b
+            nx, ny, nz = self._block[row]
+        else:
+            nx = ny = nz = 0.0
         x += nx
         y += ny
         z += nz + 1.0  # gravity

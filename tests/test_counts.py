@@ -1,4 +1,5 @@
 import math
+import sys
 from collections import deque
 
 import numpy as np
@@ -88,6 +89,13 @@ class TestVm:
 def thresholded(ys, cfg: CountsConfig) -> list[float]:
     """The contributions the pipeline would push for filtered values ys."""
     return [contribution(rectify_threshold(float(y), cfg), cfg) for y in ys]
+
+
+def pipeline_state(pipeline: CountsPipeline):
+    """Every filter register, window slot and the last accepted time."""
+    registers = [b.state for chain in pipeline._filters for b in chain]
+    windows = [(list(w._buf), w._idx, w._sum) for w in pipeline._windows]
+    return registers, windows, pipeline._last_t, pipeline.epoch_sums
 
 
 class TestAxisWindow:
@@ -314,6 +322,54 @@ class TestPipeline:
         # the rejected calls must not have advanced anything
         for s in samples[5:]:
             assert pipeline.process_sample(s) == twin.process_sample(s)
+
+    @pytest.mark.parametrize("axis", [0, 2])
+    def test_overflowing_sample_rejected_and_state_kept(self, axis):
+        # A finite 1.7e308 g sine overflows the filter unless it is turned
+        # away before any axis is stepped; movement rides on the other axes.
+        pipeline = CountsPipeline.from_spec()
+        twin = CountsPipeline.from_spec()
+        rejected = 0
+        for k in range(100):
+            t = k / 100.0
+            xyz = [0.4 * math.sin(2.0 * math.pi * t), 0.3, 1.0]
+            xyz[axis] = 1.7e308 * math.sin(2.0 * math.pi * 0.7 * t)
+            before = pipeline_state(pipeline)
+            try:
+                count = pipeline.process_sample(RawSample(t, *xyz))
+            except ValueError as exc:
+                rejected += 1
+                assert pipeline_state(pipeline) == before
+                assert f"t={t}" in str(exc)
+                with pytest.raises(ValueError):
+                    pipeline.process_sample(RawSample(t, *xyz))
+                assert pipeline_state(pipeline) == before
+                xyz[axis] = 0.0
+                count = pipeline.process_sample(RawSample(t, *xyz))
+            assert count == twin.process_sample(RawSample(t, *xyz))
+            assert pipeline_state(pipeline) == pipeline_state(twin)
+        assert rejected > 0
+
+    @pytest.mark.parametrize("order", [2, 4, 6])
+    def test_inputs_up_to_the_limit_never_overflow(self, order):
+        # The worst case for a linear filter: full-scale input whose signs
+        # follow the time-reversed impulse response of the whole cascade.
+        pipeline = CountsPipeline.from_spec(order=order)
+        limit = pipeline._input_limit
+        chain = [Biquad(c) for c in pipeline.sections]
+        impulse = [1.0] + [0.0] * 1999
+        for biquad in chain:
+            impulse = biquad.process(impulse)
+        signs = np.sign(impulse[::-1])
+        for k, s in enumerate(signs):
+            v = float(s) * limit
+            pipeline.process_sample(RawSample(k / 100.0, v, -v, v))
+        registers = [b.state for axis in pipeline._filters for b in axis]
+        assert np.all(np.isfinite(registers))
+        assert 1e20 < limit < sys.float_info.max
+        beyond = math.nextafter(limit, math.inf)
+        with pytest.raises(ValueError, match="exceeds"):
+            pipeline.process_sample(RawSample(2000 / 100.0, 0.0, beyond, 1.0))
 
     def test_nonfinite_sample_impossible(self):
         with pytest.raises(ValueError):

@@ -126,6 +126,65 @@ class TestGenerate:
         assert sequential == list(reversed(shuffled))
 
 
+
+def noise_of(sampler, ks):
+    """The noise rows of ticks ks on a Rest scenario: the samples minus gravity."""
+    rows = [sampler.sample(k) for k in ks]
+    return np.array([(r.ax, r.ay, r.az - 1.0) for r in rows])
+
+
+class TestBlockNoise:
+    def test_noise_oracle(self):
+        sigma = 0.003
+        scenario = rest_scenario(duration=10.0, seed=41, sigma=sigma)
+        sampler = ScenarioSampler(scenario)
+        for k in (0, 255, 256, 513, sampler.n_ticks - 1, sampler.n_ticks):
+            block = np.random.default_rng((41, k // 256)).normal(0.0, sigma, (256, 3))
+            nx, ny, nz = block[k % 256].tolist()
+            sample = sampler.sample(k)
+            assert (sample.ax, sample.ay, sample.az) == (nx, ny, nz + 1.0)
+
+    def test_random_access_across_blocks(self):
+        scenario = rest_scenario(duration=10.0, seed=42)
+        ticks = range(ScenarioSampler(scenario).n_ticks + 1)
+        sequential = [ScenarioSampler(scenario).sample(k) for k in ticks]
+        order = np.random.default_rng(0).permutation(len(ticks)).tolist()
+        sampler = ScenarioSampler(scenario)
+        shuffled = {k: sampler.sample(k) for k in order}
+        assert len(ticks) > 3 * 256
+        assert [shuffled[k] for k in ticks] == sequential
+
+    def test_noise_does_not_depend_on_duration(self):
+        short = ScenarioSampler(rest_scenario(duration=10.0, seed=43))
+        long = ScenarioSampler(rest_scenario(duration=60.0, seed=43))
+        shared = range(short.n_ticks + 1)
+        assert [short.sample(k) for k in shared] == [long.sample(k) for k in shared]
+
+    def test_blocks_are_keyed_by_index(self):
+        sampler = ScenarioSampler(rest_scenario(duration=60.0, seed=44))
+        noise = noise_of(sampler, range(sampler.n_ticks))
+        assert not np.any(noise[:-256] == noise[256:])
+
+    def test_feedback_adds_exactly_the_tone(self):
+        feedback = MotorFeedback(True, 0.5, 20.0)
+        scenario = Scenario(
+            20.0,
+            seed=45,
+            segments=(
+                Rest(0.0, 5.0),
+                BurstMovement(5.0, 8.0, 3.0, 1.0),
+                SineMovement(8.0, 12.0, "y", 0.8, 2.0),
+                AmbientVibration(12.0, 20.0, 0.05, 12.0),
+            ),
+            motor_feedback=feedback,
+        )
+        sampler = ScenarioSampler(scenario)
+        for k in range(sampler.n_ticks):
+            on, off = sampler.sample(k, True), sampler.sample(k, False)
+            tone = feedback.amplitude_g * math.sin(2.0 * math.pi * feedback.frequency_hz * on.t)
+            for a, b in ((on.ax, off.ax), (on.ay, off.ay), (on.az, off.az)):
+                assert abs((a - b) - tone) <= 1e-12
+
 class TestRun:
     def test_rerun_is_bit_identical(self):
         scenario = canonical_scenario()

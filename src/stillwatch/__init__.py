@@ -24,11 +24,8 @@ from .detector import (
     DetectorConfig,
     DetectorEvent,
     DetectorOutput,
-    DetectorState,
     InactivityDetector,
     detector_tick,
-    timer_seconds,
-    vibration_elapsed_seconds,
 )
 from .device import (
     POWER,
@@ -81,13 +78,10 @@ __all__ = [
     "CountsPipeline",
     # detector
     "DetectorConfig",
-    "DetectorState",
     "DetectorOutput",
     "DetectorEvent",
     "InactivityDetector",
     "detector_tick",
-    "timer_seconds",
-    "vibration_elapsed_seconds",
     "RESET",
     "VIB_START",
     "VIB_END",

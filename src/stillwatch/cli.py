@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import io as formats
-from .counts import CountsPipeline
+from .counts import CountsPipeline, RawSample
 from .detector import InactivityDetector
 from .filters import FilterSpec, design_bandpass_cascade
 from .sim import canonical_scenario, run
@@ -46,13 +46,27 @@ def _load_config(path: str | None) -> formats.ConfigFile:
     return formats.parse_config(_read_text(path))
 
 
+def _counted(pipeline: CountsPipeline, samples: list[RawSample]):
+    """Yield (sample, count) as the pipeline takes each sample in turn.
+
+    A sample the pipeline refuses, such as one beyond the filters' input
+    limit, raises ParseError on its line: data row i is line i + 2, as
+    `parse_samples` accepts no blank lines.
+    """
+    for i, sample in enumerate(samples):
+        try:
+            count = pipeline.process_sample(sample)
+        except ValueError as exc:
+            raise formats.ParseError(str(exc), i + 2) from None
+        yield sample, count
+
+
 def _cmd_counts(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     samples = formats.parse_samples(_read_text(args.samples), config.counts.sample_rate_hz)
     pipeline = CountsPipeline.from_spec(config.filter_spec, config.counts, config.filter_order)
     rows = []
-    for sample in samples:
-        count = pipeline.process_sample(sample)
+    for sample, count in _counted(pipeline, samples):
         rows.append((sample.t, count.value, *pipeline.epoch_sums))
     _write_output(formats.serialize_counts(rows), args.output)
     return 0
@@ -64,8 +78,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     pipeline = CountsPipeline.from_spec(config.filter_spec, config.counts, config.filter_order)
     detector = InactivityDetector(config.detector)
     events = []
-    for sample in samples:
-        count = pipeline.process_sample(sample)
+    for sample, count in _counted(pipeline, samples):
         events.extend(detector.tick(count.value, sample.t).events)
     _write_output(formats.serialize_events(events), args.output)
     return 0

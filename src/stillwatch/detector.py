@@ -1,8 +1,14 @@
 """Inactivity-alert state machine.
 
-Consumes one vector-magnitude count per tick and nothing else. While
-monitoring, a quiet stretch of `inactivity_seconds` starts a vibration; the
-vibration ends after `vibration_seconds`, or immediately on movement, and
+One `InactivityDetector` per stream holds the whole machine: its config and
+its progress in ticks. `detector_tick(detector, vm_count, t)` advances it in
+place by one vector-magnitude count, its only input; `InactivityDetector.tick`
+is the same function. The module-level name stays because the benchmark's
+traced mode (perfbench/spans.py) times the watch's detector by wrapping
+`stillwatch.device.detector_tick`, the name `Device.tick` calls.
+
+While monitoring, a quiet stretch of `inactivity_seconds` starts a vibration;
+the vibration ends after `vibration_seconds`, or immediately on movement, and
 either ending resets the timer. A count strictly above `count_threshold`
 counts as movement and resets the timer.
 
@@ -24,33 +30,21 @@ from typing import Literal
 from ._checks import require_finite
 
 __all__ = [
-    "MONITORING",
-    "VIBRATING",
     "RESET",
     "VIB_START",
     "VIB_END",
     "EventKind",
-    "Phase",
     "DetectorEvent",
     "DetectorConfig",
-    "DetectorState",
     "DetectorOutput",
     "detector_tick",
-    "timer_seconds",
-    "vibration_elapsed_seconds",
     "InactivityDetector",
 ]
-
-Phase = Literal["monitoring", "vibrating"]
-MONITORING: Phase = "monitoring"
-VIBRATING: Phase = "vibrating"
 
 EventKind = Literal["reset", "vib_start", "vib_end"]
 RESET: EventKind = "reset"
 VIB_START: EventKind = "vib_start"
 VIB_END: EventKind = "vib_end"
-
-_NO_EVENTS: tuple = ()
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,100 +84,88 @@ class DetectorConfig:
 
 
 @dataclass(frozen=True, slots=True)
-class DetectorState:
-    """Progress of the state machine; the default value is the power-on state.
-
-    `tick_index` counts processed ticks, `last_reset_tick` is the tick index
-    of the current timer reference, and `vibration_start_tick` is meaningful
-    while vibrating. `prev_above` remembers whether the previous tick was a
-    movement tick (used to emit reset events only on movement onset).
-    """
-
-    phase: Phase = MONITORING
-    tick_index: int = 0
-    last_reset_tick: int = 0
-    vibration_start_tick: int = 0
-    prev_above: bool = False
-
-
-@dataclass(frozen=True, slots=True)
 class DetectorOutput:
     motor_on: bool
     events: tuple[DetectorEvent, ...]
 
 
-def detector_tick(
-    state: DetectorState, cfg: DetectorConfig, vm_count: float, t: float
-) -> tuple[DetectorState, DetectorOutput]:
-    """Advance the state machine by one tick.
+# What a tick without events returns, shared rather than built every tick.
+_QUIET = DetectorOutput(False, ())
+_BUZZING = DetectorOutput(True, ())
+
+
+def detector_tick(detector: InactivityDetector, vm_count: float, t: float) -> DetectorOutput:
+    """Advance `detector` by one tick, in place; returns the motor state and events.
 
     `t` is the timestamp stamped onto any emitted events; the machine itself
     keeps time purely by counting ticks. Movement is strict: only
     vm_count > count_threshold resets. Rejects negative or non-finite counts
-    without changing state.
+    without changing the detector.
     """
     if not (isinstance(vm_count, (int, float)) and math.isfinite(vm_count)) or vm_count < 0:
         raise ValueError(f"vm count must be finite and nonnegative, got {vm_count!r}")
-    k = state.tick_index
+    cfg = detector.cfg
+    k = detector.tick_index
+    detector.tick_index = k + 1
     above = vm_count > cfg.count_threshold
+    onset = above and not detector.prev_above
+    detector.prev_above = above
 
-    if state.phase == MONITORING:
+    if not detector.vibrating:
         if above:
-            events = _NO_EVENTS if state.prev_above else (DetectorEvent(t, RESET),)
-            next_state = DetectorState(MONITORING, k + 1, k, state.vibration_start_tick, True)
-            return next_state, DetectorOutput(False, events)
-        if k - state.last_reset_tick >= cfg.inactivity_ticks:
-            next_state = DetectorState(VIBRATING, k + 1, state.last_reset_tick, k, False)
-            return next_state, DetectorOutput(True, (DetectorEvent(t, VIB_START),))
-        next_state = DetectorState(MONITORING, k + 1, state.last_reset_tick,
-                                   state.vibration_start_tick, False)
-        return next_state, DetectorOutput(False, _NO_EVENTS)
+            detector.last_reset_tick = k
+            return DetectorOutput(False, (DetectorEvent(t, RESET),)) if onset else _QUIET
+        if k - detector.last_reset_tick >= cfg.inactivity_ticks:
+            detector.vibrating = True
+            detector.vibration_start_tick = k
+            return DetectorOutput(True, (DetectorEvent(t, VIB_START),))
+        return _QUIET
 
     # Vibrating: movement cancels, otherwise run out the vibration window.
-    if above:
-        next_state = DetectorState(MONITORING, k + 1, k, state.vibration_start_tick, True)
-        events = (DetectorEvent(t, VIB_END), DetectorEvent(t, RESET))
-        return next_state, DetectorOutput(False, events)
-    if k - state.vibration_start_tick >= cfg.vibration_ticks:
-        next_state = DetectorState(MONITORING, k + 1, k, state.vibration_start_tick, False)
-        events = (DetectorEvent(t, VIB_END), DetectorEvent(t, RESET))
-        return next_state, DetectorOutput(False, events)
-    next_state = DetectorState(VIBRATING, k + 1, state.last_reset_tick,
-                               state.vibration_start_tick, False)
-    return next_state, DetectorOutput(True, _NO_EVENTS)
-
-
-def timer_seconds(state: DetectorState, cfg: DetectorConfig) -> float:
-    """Elapsed inactivity as of the last processed tick, frozen while vibrating."""
-    if state.phase == VIBRATING:
-        return cfg.inactivity_seconds
-    ticks = max(0, state.tick_index - 1 - state.last_reset_tick)
-    return min(ticks * cfg.tick_seconds, cfg.inactivity_seconds)
-
-
-def vibration_elapsed_seconds(state: DetectorState, cfg: DetectorConfig) -> float:
-    """Time spent in the current vibration as of the last processed tick."""
-    if state.phase != VIBRATING:
-        return 0.0
-    ticks = max(0, state.tick_index - 1 - state.vibration_start_tick)
-    return min(ticks * cfg.tick_seconds, cfg.vibration_seconds)
+    if above or k - detector.vibration_start_tick >= cfg.vibration_ticks:
+        detector.vibrating = False
+        detector.last_reset_tick = k
+        return DetectorOutput(False, (DetectorEvent(t, VIB_END), DetectorEvent(t, RESET)))
+    return _BUZZING
 
 
 class InactivityDetector:
-    """Stateful wrapper over `detector_tick` for one stream."""
+    """The detector of one stream: its configuration and its progress.
 
-    def __init__(self, cfg: DetectorConfig | None = None, state: DetectorState | None = None):
+    `tick_index` counts processed ticks, `last_reset_tick` is the tick index
+    of the current timer reference, and `vibration_start_tick` is meaningful
+    while `vibrating`. `prev_above` remembers whether the previous tick was a
+    movement tick (used to emit reset events only on movement onset). A new
+    detector is in the power-on state. `cfg` and `last_reset_tick` may be set
+    between ticks, as a watch does when its inactivity option changes.
+    """
+
+    __slots__ = ("cfg", "vibrating", "tick_index", "last_reset_tick",
+                 "vibration_start_tick", "prev_above")
+
+    def __init__(self, cfg: DetectorConfig | None = None):
         self.cfg = cfg or DetectorConfig()
-        self.state = state or DetectorState()
+        self.vibrating = False
+        self.tick_index = 0
+        self.last_reset_tick = 0
+        self.vibration_start_tick = 0
+        self.prev_above = False
 
-    def tick(self, vm_count: float, t: float) -> DetectorOutput:
-        self.state, output = detector_tick(self.state, self.cfg, vm_count, t)
-        return output
+    tick = detector_tick
 
     @property
     def timer_seconds(self) -> float:
-        return timer_seconds(self.state, self.cfg)
+        """Elapsed inactivity as of the last processed tick, frozen while vibrating."""
+        cfg = self.cfg
+        if self.vibrating:
+            return cfg.inactivity_seconds
+        ticks = max(0, self.tick_index - 1 - self.last_reset_tick)
+        return min(ticks * cfg.tick_seconds, cfg.inactivity_seconds)
 
     @property
-    def vibrating(self) -> bool:
-        return self.state.phase == VIBRATING
+    def vibration_elapsed_seconds(self) -> float:
+        """Time spent in the current vibration as of the last processed tick."""
+        if not self.vibrating:
+            return 0.0
+        ticks = max(0, self.tick_index - 1 - self.vibration_start_tick)
+        return min(ticks * self.cfg.tick_seconds, self.cfg.vibration_seconds)

@@ -18,14 +18,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Literal
 
 from ._checks import require_finite
-from .detector import (
-    VIB_START,
-    DetectorConfig,
-    DetectorEvent,
-    DetectorState,
-    detector_tick,
-    timer_seconds,
-)
+from .detector import VIB_START, DetectorConfig, DetectorEvent, InactivityDetector, detector_tick
 
 __all__ = [
     "SELECT",
@@ -115,8 +108,7 @@ class Device:
         self.selected_option = 0
         self.red_led_enabled = self.config.red_led_enabled_default
         self.events: list[DetectorEvent] = []
-        self._state = DetectorState()
-        self._detector_cfg = self._detector_cfgs[0]
+        self._detector = InactivityDetector(self._detector_cfgs[0])
         self._vib_anchor = 0.0
         self._blue_anchor: float | None = None
         self._blue_flashes = 0
@@ -124,7 +116,7 @@ class Device:
     @property
     def detector_config(self) -> DetectorConfig:
         """Detector configuration currently in force."""
-        return self._detector_cfg
+        return self._detector.cfg
 
     def press_button(self, button: Button, t: float) -> None:
         """Apply one button press at time t. All presses are no-ops while off."""
@@ -134,9 +126,9 @@ class Device:
             return
         if button == SELECT:
             self.selected_option = (self.selected_option + 1) % 3
-            self._detector_cfg = self._detector_cfgs[self.selected_option]
+            self._detector.cfg = self._detector_cfgs[self.selected_option]
             # Switching options must not fire an alert instantly.
-            self._state = replace(self._state, last_reset_tick=self._state.tick_index)
+            self._detector.last_reset_tick = self._detector.tick_index
             self._blue_anchor = t
             self._blue_flashes = self.selected_option + 1
         elif button == RED_TOGGLE:
@@ -148,7 +140,7 @@ class Device:
         """Advance one tick; returns the LED/motor snapshot after it."""
         if not self.power:
             return DeviceSnapshot(t, False, False, False, False, self.selected_option, 0.0)
-        self._state, output = detector_tick(self._state, self._detector_cfg, vm_count, t)
+        output = detector_tick(self._detector, vm_count, t)
         for event in output.events:
             self.events.append(event)
             if event.kind == VIB_START:
@@ -172,7 +164,7 @@ class Device:
             blue=blue,
             red=red,
             option=self.selected_option,
-            timer_seconds=timer_seconds(self._state, self._detector_cfg),
+            timer_seconds=self._detector.timer_seconds,
         )
 
 

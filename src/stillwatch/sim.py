@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Any, Literal
+from typing import Any, Literal, get_args
 
 import numpy as np
 
@@ -139,6 +139,11 @@ class MotorFeedback:
 class ButtonPress:
     t: float
     button: Button
+
+    def __post_init__(self) -> None:
+        choices = get_args(Button)
+        if self.button not in choices:
+            raise ValueError(f"button must be one of {', '.join(choices)}, got {self.button!r}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -86,7 +86,8 @@ def offline_counts(xyz: np.ndarray, sections, cfg: CountsConfig):
     return np.sqrt((sums**2).sum(axis=1)), sums
 
 
-def detector_event_oracle(above, inactivity_ticks: int, vibration_ticks: int):
+def detector_event_oracle(above, inactivity_ticks: int, vibration_ticks: int,
+                          option_changes=()):
     """Recompute detector event instants from a movement mask, arithmetic only.
 
     `above` is the per-tick movement mask (vm strictly above threshold).
@@ -97,35 +98,54 @@ def detector_event_oracle(above, inactivity_ticks: int, vibration_ticks: int):
     the first movement tick or after `vibration_ticks`, whichever is first,
     and its end resets the timer. Reset events mark movement onsets and
     vibration ends only.
+
+    `option_changes` lists (tick, inactivity_ticks) pairs in tick order, as a
+    watch's select presses: each takes effect before its tick is processed,
+    moves the timer reference to that tick and sets the inactivity time from
+    then on. A change during a vibration leaves the vibration running, and
+    its end moves the reference again.
     """
     above = np.asarray(above, dtype=bool)
     n = len(above)
     movement = np.flatnonzero(above)
+    changes = [(int(c), int(ticks)) for c, ticks in option_changes]
     events: list[tuple[int, str]] = []
     ref = 0
-    i = 0
+    start = 0  # first tick not yet scanned for movement
+    i = 0  # next entry of `movement` at or after `start`
+    j = 0  # next entry of `changes`
     while True:
-        while i < len(movement) and movement[i] <= ref:
+        while i < len(movement) and movement[i] < start:
             i += 1
         trigger = ref + inactivity_ticks
-        if i < len(movement) and movement[i] <= trigger:
-            m = int(movement[i])
+        m = int(movement[i]) if i < len(movement) else n
+        if j < len(changes) and changes[j][0] <= min(m, trigger):
+            ref, inactivity_ticks = changes[j]
+            start = ref
+            j += 1
+            continue
+        if m <= trigger:
+            if m >= n:
+                break
             if m == 0 or not above[m - 1]:
                 events.append((m, "reset"))
             ref = m
-            i += 1
+            start = m + 1
             continue
         if trigger >= n:
             break
         events.append((trigger, "vib_start"))
         end = trigger + vibration_ticks
-        j = int(np.searchsorted(movement, trigger, side="right"))
-        if j < len(movement) and movement[j] <= end:
-            end = int(movement[j])
+        k = int(np.searchsorted(movement, trigger, side="right"))
+        if k < len(movement) and movement[k] <= end:
+            end = int(movement[k])
         if end >= n:
             break
         events.append((end, "vib_end"))
         events.append((end, "reset"))
+        while j < len(changes) and changes[j][0] <= end:
+            inactivity_ticks = changes[j][1]
+            j += 1
         ref = end
-        i = int(np.searchsorted(movement, end, side="right"))
+        start = end + 1
     return events

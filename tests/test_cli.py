@@ -38,6 +38,14 @@ def sample_file(tmp_path):
     return path
 
 
+@pytest.fixture
+def refused_sample_file(tmp_path):
+    """Parses cleanly, but the sample on line 3 is beyond the filters' input limit."""
+    path = tmp_path / "huge.csv"
+    path.write_text("t,ax,ay,az\n0,0,0,1\n0.01,1e306,0,1\n")
+    return path
+
+
 class TestDesignFilter:
     def test_prints_five_coefficients(self, capsys):
         assert main(["design-filter", "--fs", "100", "--low", "0.305", "--high", "1.615"]) == 0
@@ -88,6 +96,12 @@ class TestCounts:
         assert main(["counts", str(src)]) == 1
         assert "line 2" in capsys.readouterr().err
 
+    def test_refused_sample_carries_line(self, refused_sample_file, tmp_path, capsys):
+        out = tmp_path / "counts.csv"
+        assert main(["counts", str(refused_sample_file), "-o", str(out)]) == 1
+        assert "error: line 3: sample at t=0.01 exceeds" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_reruns_are_byte_identical(self, sample_file, tmp_path):
         out_a = tmp_path / "a.csv"
         out_b = tmp_path / "b.csv"
@@ -127,6 +141,12 @@ class TestDetect:
             s.t for s in samples if pipeline.process_sample(s).value > 125.0
         )
         assert starts[0] == pytest.approx(last_above + 3.0, abs=0.011)
+
+    def test_refused_sample_carries_line(self, refused_sample_file, tmp_path, capsys):
+        out = tmp_path / "events.csv"
+        assert main(["detect", str(refused_sample_file), "-o", str(out)]) == 1
+        assert "error: line 3: sample at t=0.01 exceeds" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSimulate:

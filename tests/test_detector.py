@@ -6,17 +6,16 @@ from stillwatch import (
     VIB_END,
     VIB_START,
     DetectorConfig,
-    DetectorState,
     InactivityDetector,
     detector_tick,
-    timer_seconds,
-    vibration_elapsed_seconds,
 )
 
 from _oracles import detector_event_oracle
 from conftest import random_vm_trace
 
 TICK = 0.01
+
+STATE_SLOTS = ("vibrating", "tick_index", "last_reset_tick", "vibration_start_tick", "prev_above")
 
 
 def drive(vms, cfg=None):
@@ -102,22 +101,21 @@ class TestTickRules:
 
     def test_rejects_bad_vm(self):
         det = InactivityDetector()
-        before = det.state
+        before = [getattr(det, name) for name in STATE_SLOTS]
         for bad in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 det.tick(bad, 0.0)
-        assert det.state == before
+        assert [getattr(det, name) for name in STATE_SLOTS] == before
 
     def test_pure_function_matches_wrapper(self):
         rng = np.random.default_rng(31)
         vms = random_vm_trace(rng, 3000)
         events_a, motor_a, _ = drive(vms)
-        cfg = DetectorConfig()
-        state = DetectorState()
+        det = InactivityDetector()
         events_b = []
         motor_b = []
         for k, value in enumerate(vms):
-            state, out = detector_tick(state, cfg, float(value), k * TICK)
+            out = detector_tick(det, float(value), k * TICK)
             events_b.extend(out.events)
             motor_b.append(out.motor_on)
         assert events_a == events_b
@@ -150,15 +148,15 @@ class TestHelpers:
         for k in range(250):
             det.tick(0.0, k * TICK)
         assert det.timer_seconds == pytest.approx(2.49)
-        assert vibration_elapsed_seconds(det.state, det.cfg) == 0.0
+        assert det.vibration_elapsed_seconds == 0.0
 
     def test_timer_frozen_while_vibrating(self):
         det = InactivityDetector()
         for k in range(1100):
             det.tick(0.0, k * TICK)
         assert det.vibrating
-        assert timer_seconds(det.state, det.cfg) == 10.0
-        assert vibration_elapsed_seconds(det.state, det.cfg) == pytest.approx(0.99)
+        assert det.timer_seconds == 10.0
+        assert det.vibration_elapsed_seconds == pytest.approx(0.99)
 
 
 class TestOracleEquivalence:

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stillwatch import (
     POWER,
@@ -14,6 +18,8 @@ from stillwatch import (
     replay_event_log,
 )
 from stillwatch import io as formats
+
+from _oracles import detector_event_oracle
 
 TICK = 0.01
 
@@ -197,6 +203,57 @@ class TestAgainstBareDetector:
         for k, value in enumerate(vms):
             events.extend(bare.tick(float(value), k * TICK).events)
         assert device.events == events
+
+
+@st.composite
+def select_cases(draw):
+    """Option and vibration durations in ticks, a threshold, a VM stream of
+    runs at, just above, just below and far from the threshold, and the ticks
+    of select presses: anywhere, or inside a vibration of the press-free run."""
+    options = draw(st.tuples(*[st.integers(1, 150)] * 3))
+    vibration = draw(st.integers(1, 100))
+    threshold = draw(st.sampled_from([125.0, 1.0]) | st.floats(1e-3, 1e4))
+    levels = [
+        0.0, threshold, math.nextafter(threshold, math.inf),
+        math.nextafter(threshold, 0.0), threshold / 2, 3 * threshold,
+    ]
+    runs = draw(st.lists(st.tuples(st.sampled_from(levels), st.integers(1, 300)), max_size=12))
+    vms = [vm for vm, length in runs for _ in range(length)]
+    n = len(vms)
+    presses = set(draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=4)) if n else ())
+    above = np.asarray(vms) > threshold
+    starts = [k for k, kind in detector_event_oracle(above, options[0], vibration)
+              if kind == "vib_start"]
+    if starts:
+        for start in draw(st.lists(st.sampled_from(starts), max_size=3)):
+            presses.add(min(n - 1, start + draw(st.integers(0, vibration))))
+    return options, vibration, threshold, vms, sorted(presses)
+
+
+class TestSelectDifferential:
+    @settings(max_examples=200, deadline=None)
+    @given(select_cases())
+    @example(((5, 7, 9), 10, 125.0, [0.0] * 40, [8]))  # a press mid-vibration
+    def test_device_events_match_arithmetic_oracle(self, case):
+        options, vibration, threshold, vms, presses = case
+        device = Device(
+            DeviceConfig(tuple(k * TICK for k in options), vibration * TICK),
+            DetectorConfig(count_threshold=threshold, tick_seconds=TICK),
+        )
+        changes = []
+        option = 0
+        pending = list(presses)
+        for k, vm in enumerate(vms):
+            if pending and pending[0] == k:
+                pending.pop(0)
+                device.press_button(SELECT, k * TICK)
+                option = (option + 1) % 3
+                changes.append((k, options[option]))
+            device.tick(vm, k * TICK)
+        expected = detector_event_oracle(
+            np.asarray(vms) > threshold, options[0], vibration, option_changes=changes
+        )
+        assert [(round(e.t / TICK), e.kind) for e in device.events] == expected
 
 
 class TestReplay:

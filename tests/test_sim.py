@@ -60,6 +60,15 @@ class TestScenarioValidation:
                 button_presses=(ButtonPress(10.0, "select"),),
             )
 
+    def test_unknown_button_rejected_when_built(self):
+        # not first met by Device.press_button at its tick, mid-run
+        with pytest.raises(ValueError, match="button must be one of select, red, power"):
+            Scenario(
+                20.0,
+                segments=(Rest(0.0, 20.0),),
+                button_presses=(ButtonPress(15.0, "bogus"),),
+            )
+
     def test_frequencies_must_stay_below_nyquist(self):
         scenario = Scenario(
             10.0,

@@ -50,7 +50,6 @@ epoch_seconds = 2.0
 
 [detector]
 count_threshold = 100
-inactivity_seconds = 20
 
 [device]
 inactivity_options = 20, 40, 60

@@ -87,14 +87,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     scenario = formats.parse_scenario(_read_text(args.scenario))
-    trace = run(
-        scenario,
-        device_config=config.device,
-        counts_config=config.counts,
-        filter_spec=config.filter_spec,
-        detector_config=config.detector,
-        filter_order=config.filter_order,
-    )
+    trace = run(scenario, config)
     _write_output(formats.serialize_trace(trace), args.output)
     if args.events is not None:
         _write_output(formats.serialize_events(trace.events), args.events)

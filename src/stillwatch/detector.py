@@ -24,7 +24,7 @@ every movement tick.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal
 
 from ._checks import require_finite
@@ -59,6 +59,8 @@ class DetectorConfig:
     inactivity_seconds: float = 10.0
     vibration_seconds: float = 5.0
     tick_seconds: float = 0.01
+    inactivity_ticks: int = field(init=False)
+    vibration_ticks: int = field(init=False)
 
     def __post_init__(self) -> None:
         require_finite(
@@ -66,21 +68,15 @@ class DetectorConfig:
             ("count_threshold", "inactivity_seconds", "vibration_seconds", "tick_seconds"),
             positive=True,
         )
-        for name in ("inactivity_seconds", "vibration_seconds"):
+        for name, ticks_name in (("inactivity_seconds", "inactivity_ticks"),
+                                 ("vibration_seconds", "vibration_ticks")):
             ticks = getattr(self, name) / self.tick_seconds
             if abs(ticks - round(ticks)) > 1e-6 or round(ticks) < 1:
                 raise ValueError(
                     f"{name}={getattr(self, name)} must be a positive whole number of "
                     f"{self.tick_seconds} s ticks"
                 )
-
-    @property
-    def inactivity_ticks(self) -> int:
-        return int(round(self.inactivity_seconds / self.tick_seconds))
-
-    @property
-    def vibration_ticks(self) -> int:
-        return int(round(self.vibration_seconds / self.tick_seconds))
+            object.__setattr__(self, ticks_name, round(ticks))
 
 
 @dataclass(frozen=True, slots=True)

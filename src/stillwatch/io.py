@@ -8,13 +8,13 @@ use a small sectioned key-value format:
     [section]
     key = value
 
-Each section fills one dataclass, and a small codec reads the keys off that
-dataclass's fields: their names, their order, their defaults (an omitted key
-keeps the field default) and how values are written, chosen by field type:
-a float as the shortest decimal that reparses to the same double, an int in
-decimal, a bool as true/false, a three-float tuple as comma-separated floats,
-and a Literal string as one of its choices. The trace CSV is likewise one
-column per array field of SimulationTrace.
+Each section fills one dataclass, or a few fields of one, and a small codec
+reads the keys off those fields: their names, their order, their defaults (an
+omitted key keeps the field default) and how values are written, chosen by
+field type: a float as the shortest decimal that reparses to the same double,
+an int in decimal, a bool as true/false, a three-float tuple as comma-separated
+floats, and a Literal string as one of its choices. The trace CSV is likewise
+one column per array field of SimulationTrace.
 
 Parsers are strict: the first problem raises ParseError carrying the line
 number, and nothing is returned. Serializers emit canonical text, so
@@ -37,20 +37,20 @@ import functools
 import itertools
 import math
 import typing
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, fields
 from typing import Callable, Iterable, Literal, Sequence
 
 import numpy as np
 
 from .counts import CountsConfig, RawSample, check_sample_step
-from .detector import DetectorConfig, DetectorEvent, EventKind
-from .device import Button, DeviceConfig, DeviceSnapshot
-from .filters import FilterSpec
+from .detector import DetectorEvent, EventKind
+from .device import Button, DeviceSnapshot
 from .sim import (
     TRACE_COLUMNS,
     AmbientVibration,
     BurstMovement,
     ButtonPress,
+    ConfigFile,
     MotorFeedback,
     Rest,
     Scenario,
@@ -427,12 +427,12 @@ def _read(
     name: str,
     line: int,
     entries: list[tuple[int, str, str]],
-    extra: dict[str, _Codec] | None = None,
+    keys: dict[str, _Codec] | None = None,
 ) -> dict[str, object]:
     """Parse the entries of section [name] at `line` into keyword arguments
-    for `cls`, plus any `extra` keys the section allows. Omitted keys are
-    left out, so they keep the dataclass defaults."""
-    keys = _keys(cls) if extra is None else {**_keys(cls), **extra}
+    for `cls`. The section allows `keys`, by default the key fields of `cls`.
+    Omitted keys are left out, so they keep the dataclass defaults."""
+    keys = _keys(cls) if keys is None else keys
     kwargs: dict[str, object] = {}
     for i, key, token in entries:
         if key not in keys:
@@ -453,10 +453,12 @@ def _construct(factory, kwargs: dict, line: int):
         raise ParseError(str(exc), line) from None
 
 
-def _section(name: str, obj: object) -> list[str]:
-    """The lines of section [name] holding every key field of `obj`."""
+def _section(name: str, obj: object, attrs: dict[str, str] | None = None) -> list[str]:
+    """The lines of section [name]: every key field of `obj`, or those `attrs` maps keys to."""
+    codecs = _keys(type(obj))
+    attrs = attrs or {key: key for key in codecs}
     return [f"[{name}]"] + [
-        f"{key} = {fmt(getattr(obj, key))}" for key, (_, fmt) in _keys(type(obj)).items()
+        f"{key} = {codecs[attr][1](getattr(obj, attr))}" for key, attr in attrs.items()
     ]
 
 
@@ -488,7 +490,7 @@ def _parse_segment(line: int, entries: list[tuple[int, str, str]]) -> Segment:
             kind_line,
         )
     cls = _SEGMENT_KINDS[kind]
-    kwargs = _read(cls, "segment", line, entries, _KIND_KEY)
+    kwargs = _read(cls, "segment", line, entries, {**_keys(cls), **_KIND_KEY})
     del kwargs["kind"]
     return _construct(cls, kwargs, line)
 
@@ -539,39 +541,22 @@ def serialize_scenario(scenario: Scenario) -> str:
 # Configuration files
 
 
-@dataclass(frozen=True, slots=True)
-class ConfigFile:
-    """Every tunable in one place; omitted fields keep their defaults."""
-
-    filter_spec: FilterSpec = field(default_factory=FilterSpec)
-    filter_order: int = 2
-    counts: CountsConfig = field(default_factory=CountsConfig)
-    detector: DetectorConfig = field(default_factory=DetectorConfig)
-    device: DeviceConfig = field(default_factory=DeviceConfig)
-
-    def __post_init__(self) -> None:
-        if self.filter_spec.sample_rate_hz != self.counts.sample_rate_hz:
-            raise ValueError(
-                f"filter sample_rate_hz={self.filter_spec.sample_rate_hz} does not "
-                f"match counts sample_rate_hz={self.counts.sample_rate_hz}"
-            )
-        if abs(self.detector.tick_seconds * self.counts.sample_rate_hz - 1.0) > 1e-9:
-            raise ValueError(
-                f"detector tick_seconds={self.detector.tick_seconds} does not match "
-                f"the {self.counts.sample_rate_hz} Hz sample rate"
-            )
-        self.device.detector_configs(self.detector)
-
-
-# Config section -> the ConfigFile field it fills. [filter] also holds the
-# filter order, which is ConfigFile.filter_order.
-_CONFIG_SECTIONS = {
-    "filter": "filter_spec",
+# Config section -> the ConfigFile field it fills or, for a section of
+# ConfigFile's own fields, the field that each of its keys sets.
+_CONFIG_SECTIONS: dict[str, str | dict[str, str]] = {
+    "filter": {"low_cutoff_hz": "low_cutoff_hz", "high_cutoff_hz": "high_cutoff_hz",
+               "order": "filter_order"},
     "counts": "counts",
-    "detector": "detector",
+    "detector": {"count_threshold": "count_threshold"},
     "device": "device",
 }
-_ORDER_KEY: dict[str, _Codec] = {"order": _SCALARS[int]}
+# Keys that an older format set in another section, and their one home now.
+_MOVED_KEYS = {
+    ("filter", "sample_rate_hz"): "[counts] sample_rate_hz",
+    ("detector", "tick_seconds"): "[counts] sample_rate_hz",
+    ("detector", "inactivity_seconds"): "[device] inactivity_options",
+    ("detector", "vibration_seconds"): "[device] vibration_seconds",
+}
 
 
 def parse_config(text: str) -> ConfigFile:
@@ -584,27 +569,27 @@ def parse_config(text: str) -> ConfigFile:
         if name in lines:
             raise ParseError(f"duplicate section [{name}]", line)
         lines[name] = line
-        attr = _CONFIG_SECTIONS[name]
-        cls = _hints(ConfigFile)[attr]
-        values = _read(cls, name, line, entries, _ORDER_KEY if name == "filter" else None)
-        if "order" in values:
-            order = values.pop("order")
-            if order < 2 or order % 2 != 0:
-                raise ParseError(f"order must be an even integer >= 2, got {order}", line)
-            kwargs["filter_order"] = order
-        kwargs[attr] = _construct(cls, values, line)
-    if "device" in kwargs:
-        # ConfigFile repeats this check; running it first blames the [device] line.
-        base = kwargs.get("detector", DetectorConfig())
-        _construct(kwargs["device"].detector_configs, {"base": base}, lines["device"])
-    return _construct(ConfigFile, kwargs, 1)
+        for i, key, _ in entries:
+            if moved := _MOVED_KEYS.get((name, key)):
+                raise ParseError(f"{key} is no longer a [{name}] key: set {moved}", i)
+        home = _CONFIG_SECTIONS[name]
+        if isinstance(home, str):
+            cls = _hints(ConfigFile)[home]
+            kwargs[home] = _construct(cls, _read(cls, name, line, entries), line)
+        else:
+            codecs = {key: _keys(ConfigFile)[attr] for key, attr in home.items()}
+            values = _read(ConfigFile, name, line, entries, codecs)
+            kwargs.update((home[key], value) for key, value in values.items())
+    try:
+        return ConfigFile(**kwargs)
+    except ValueError as exc:
+        # Blame the section the failed check is about or, if absent, the rate's.
+        raise ParseError(str(exc), lines.get(exc.section, lines.get("counts", 1))) from None
 
 
 def serialize_config(config: ConfigFile) -> str:
-    sections = []
-    for name, attr in _CONFIG_SECTIONS.items():
-        lines = _section(name, getattr(config, attr))
-        if name == "filter":
-            lines.append(f"order = {config.filter_order}")
-        sections.append(lines)
-    return _join_sections(sections)
+    return _join_sections(
+        _section(name, getattr(config, home)) if isinstance(home, str)
+        else _section(name, config, home)
+        for name, home in _CONFIG_SECTIONS.items()
+    )

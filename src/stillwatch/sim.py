@@ -44,6 +44,7 @@ __all__ = [
     "ScenarioSampler",
     "SimulationTrace",
     "TRACE_COLUMNS",
+    "ConfigFile",
     "run",
     "canonical_scenario",
 ]
@@ -339,30 +340,55 @@ TRACE_COLUMNS: tuple[tuple[str, type], ...] = tuple(
 )
 
 
-def run(
-    scenario: Scenario,
-    device_config: DeviceConfig | None = None,
-    counts_config: CountsConfig | None = None,
-    filter_spec: FilterSpec | None = None,
-    detector_config: DetectorConfig | None = None,
-    filter_order: int = 2,
-) -> SimulationTrace:
+@dataclass(frozen=True, slots=True)
+class ConfigFile:
+    """Every tunable of the watch, each held once. The filter and the detector's
+    tick take the counts sample rate, and `detector` is inactivity option 0,
+    the one in force at power-on. Omitted fields keep their defaults."""
+
+    low_cutoff_hz: float = FilterSpec().low_cutoff_hz
+    high_cutoff_hz: float = FilterSpec().high_cutoff_hz
+    filter_order: int = 2
+    counts: CountsConfig = field(default_factory=CountsConfig)
+    count_threshold: float = DetectorConfig().count_threshold
+    device: DeviceConfig = field(default_factory=DeviceConfig)
+
+    def __post_init__(self) -> None:
+        # A failed check records the config section it is about, for a parser to blame.
+        section = "filter"
+        try:
+            if self.filter_order < 2 or self.filter_order % 2 != 0:
+                raise ValueError(f"order must be an even integer >= 2, got {self.filter_order}")
+            self.filter_spec  # checks the cutoffs against the rate
+            section = "detector"
+            DetectorConfig(self.count_threshold)  # checks the threshold alone
+            section = "device"
+            self.device.detector_configs(self.detector)
+        except ValueError as exc:
+            exc.section = section
+            raise
+
+    @property
+    def filter_spec(self) -> FilterSpec:
+        return FilterSpec(self.counts.sample_rate_hz, self.low_cutoff_hz, self.high_cutoff_hz)
+
+    @property
+    def detector(self) -> DetectorConfig:
+        return DetectorConfig(self.count_threshold, self.device.inactivity_options[0],
+                              self.device.vibration_seconds, 1.0 / self.counts.sample_rate_hz)
+
+
+def run(scenario: Scenario, config: ConfigFile | None = None) -> SimulationTrace:
     """Simulate the whole watch over a scenario.
 
     The loop per tick: synthesize the raw sample (motor state from the
     previous tick drives the feedback), convert it to a VM count, feed the
-    watch, record everything. Any omitted configuration takes its default.
+    watch, record everything. Without a config, every tunable takes its default.
     """
-    counts_config = counts_config or CountsConfig()
-    detector_config = detector_config or DetectorConfig()
-    if abs(detector_config.tick_seconds * counts_config.sample_rate_hz - 1.0) > 1e-9:
-        raise ValueError(
-            f"detector tick {detector_config.tick_seconds} s does not match the "
-            f"{counts_config.sample_rate_hz} Hz sample rate"
-        )
-    sampler = ScenarioSampler(scenario, counts_config.sample_rate_hz)
-    pipeline = CountsPipeline.from_spec(filter_spec, counts_config, order=filter_order)
-    device = Device(device_config, detector_config)
+    config = config or ConfigFile()
+    sampler = ScenarioSampler(scenario, config.counts.sample_rate_hz)
+    pipeline = CountsPipeline.from_spec(config.filter_spec, config.counts, config.filter_order)
+    device = Device(config.device, config.detector)
 
     presses = sorted(scenario.button_presses, key=lambda p: p.t)
     next_press = 0
@@ -371,7 +397,7 @@ def run(
     record = np.empty(n, dtype=list(TRACE_COLUMNS))
     motor_prev = False
     for k in range(n):
-        t = k / counts_config.sample_rate_hz
+        t = k / sampler.sample_rate_hz
         while next_press < len(presses) and presses[next_press].t <= t + 1e-9:
             device.press_button(presses[next_press].button, t)
             next_press += 1

@@ -288,19 +288,13 @@ def test_criterion_9_determinism_and_round_trips(tmp_path):
     # 150 config files
     for _ in range(150):
         config = formats.ConfigFile(
-            filter_spec=FilterSpec(
-                100.0,
-                float(np.round(rng.uniform(0.1, 0.9), 3)),
-                float(np.round(rng.uniform(1.0, 20.0), 3)),
-            ),
+            low_cutoff_hz=float(np.round(rng.uniform(0.1, 0.9), 3)),
+            high_cutoff_hz=float(np.round(rng.uniform(1.0, 20.0), 3)),
             filter_order=int(rng.choice([2, 4])),
-            detector=DetectorConfig(
-                count_threshold=float(rng.integers(50, 400)),
-                inactivity_seconds=float(rng.integers(1, 120)),
-                vibration_seconds=float(rng.integers(1, 30)),
-            ),
+            count_threshold=float(rng.integers(50, 400)),
             device=DeviceConfig(
                 inactivity_options=tuple(float(x) for x in rng.integers(1, 200, 3)),
+                vibration_seconds=float(rng.integers(1, 30)),
                 red_led_enabled_default=bool(rng.integers(0, 2)),
             ),
         )

@@ -6,12 +6,14 @@ import pytest
 from stillwatch import (
     CountsPipeline,
     InactivityDetector,
+    RawSample,
     ScenarioSampler,
     canonical_scenario,
     run,
 )
 from stillwatch.cli import main
 from stillwatch.io import (
+    parse_config,
     parse_counts,
     parse_events,
     parse_samples,
@@ -128,7 +130,7 @@ class TestDetect:
 
     def test_config_override_changes_timing(self, sample_file, tmp_path):
         config = tmp_path / "config.txt"
-        config.write_text("[detector]\ninactivity_seconds = 3\n")
+        config.write_text("[device]\ninactivity_options = 3, 30, 60\n")
         out = tmp_path / "events.csv"
         assert main(["detect", str(sample_file), "--config", str(config), "-o", str(out)]) == 0
         events = parse_events(out.read_text())
@@ -185,6 +187,30 @@ class TestSimulate:
         vm_cli = np.array([row[1] for row in parse_counts(counts_out.read_text())])
         # counts CSV carries 9 significant digits
         assert np.allclose(vm_cli, trace.vm, rtol=1e-8, atol=1e-8)
+
+    def test_detect_and_simulate_agree_on_the_device_durations(self, tmp_path):
+        # The durations are set once, in [device]; `detect` runs option 0
+        # with them, as the simulated watch does at power-on.
+        config_path = tmp_path / "config.txt"
+        config_path.write_text(
+            "[device]\ninactivity_options = 20, 40, 60\nvibration_seconds = 2\n"
+        )
+        scenario = canonical_scenario(60.0)
+        trace = run(scenario, parse_config(config_path.read_text()))
+        columns = (trace.t, trace.ax, trace.ay, trace.az)
+        samples = [RawSample(*row) for row in zip(*(c.tolist() for c in columns))]
+        samples_path = tmp_path / "samples.csv"
+        samples_path.write_text(serialize_samples(samples), newline="\n")
+        scenario_path = tmp_path / "scenario.txt"
+        scenario_path.write_text(serialize_scenario(scenario))
+        detected, simulated = tmp_path / "detected.csv", tmp_path / "simulated.csv"
+        config = ["--config", str(config_path)]
+        assert main(["detect", str(samples_path), *config, "-o", str(detected)]) == 0
+        assert main(["simulate", str(scenario_path), *config, "-o", str(tmp_path / "trace.csv"),
+                     "--events", str(simulated)]) == 0
+        assert detected.read_bytes() == simulated.read_bytes()
+        starts = [e for e in parse_events(detected.read_text()) if e.kind == "vib_start"]
+        assert starts and starts[0].t == pytest.approx(27.68)
 
 
 class TestFigure3:

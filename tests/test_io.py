@@ -266,9 +266,18 @@ class TestScenarioFormat:
             parse_scenario("[segment]\nkind = rest\nstart = 0\nend = 5\n")
 
 
+# Each key that moved to another section, and the key that now sets it.
+MOVED_KEYS = {
+    ("filter", "sample_rate_hz"): "[counts] sample_rate_hz",
+    ("detector", "tick_seconds"): "[counts] sample_rate_hz",
+    ("detector", "inactivity_seconds"): "[device] inactivity_options",
+    ("detector", "vibration_seconds"): "[device] vibration_seconds",
+}
+
+
 @st.composite
 def config_files(draw):
-    """Valid ConfigFiles: durations on the tick grid, matching sample rates."""
+    """Valid ConfigFiles: cutoffs below Nyquist, durations on the tick grid."""
     fs = draw(st.sampled_from([25.0, 50.0, 100.0, 200.0]))
     tick = 1.0 / fs
     ticks = st.integers(1, 100_000).map(lambda k: k * tick)
@@ -277,13 +286,14 @@ def config_files(draw):
     deadband = draw(st.floats(1e-4, 1.0))
     saturation = draw(st.floats(deadband, 10.0, exclude_min=True))
     return ConfigFile(
-        filter_spec=FilterSpec(fs, low, high),
+        low_cutoff_hz=low,
+        high_cutoff_hz=high,
         filter_order=draw(st.sampled_from([2, 4, 6, 8])),
         counts=CountsConfig(
             deadband, saturation, draw(st.floats(1e-4, 1.0)),
             draw(st.integers(1, 500)) * tick, fs,
         ),
-        detector=DetectorConfig(draw(st.floats(1e-3, 1e4)), draw(ticks), draw(ticks), tick),
+        count_threshold=draw(st.floats(1e-3, 1e4)),
         device=DeviceConfig(
             (draw(ticks), draw(ticks), draw(ticks)), draw(ticks),
             draw(st.booleans()), draw(st.floats(1e-3, 10.0)),
@@ -301,7 +311,7 @@ class TestConfigFormat:
         assert config.device == DeviceConfig()
 
     def test_override_inactivity(self):
-        config = parse_config("[detector]\ninactivity_seconds = 20\n")
+        config = parse_config("[device]\ninactivity_options = 20, 30, 60\n")
         assert config.detector.inactivity_seconds == 20.0
         assert config.detector.vibration_seconds == 5.0
 
@@ -310,16 +320,18 @@ class TestConfigFormat:
             parse_config("[counts]\ndeadband_g = 2.2\n")
 
     def test_inexact_counts_config_reported_on_its_section(self):
-        text = "[detector]\ninactivity_seconds = 20\n\n[counts]\ndeadband_g = 1e-300\n"
+        text = "[detector]\ncount_threshold = 100\n\n[counts]\ndeadband_g = 1e-300\n"
         with pytest.raises(ParseError, match="sum exactly") as info:
             parse_config(text)
         assert info.value.line == 4
 
-    def test_cross_section_consistency(self):
-        with pytest.raises(ParseError, match="does not match"):
-            parse_config("[counts]\nsample_rate_hz = 50\nepoch_seconds = 1\n")
-        with pytest.raises(ParseError, match="tick_seconds"):
-            parse_config("[detector]\ntick_seconds = 0.02\n")
+    @pytest.mark.parametrize("section,key", list(MOVED_KEYS))
+    def test_moved_key_fails_on_its_line_naming_its_home(self, section, key):
+        text = f"[counts]\nepoch_seconds = 1\n\n[{section}]\n{key} = 20\n"
+        with pytest.raises(ParseError) as info:
+            parse_config(text)
+        assert info.value.line == 5
+        assert f"set {MOVED_KEYS[section, key]}" in info.value.message
 
     def test_round_trip(self):
         text = serialize_config(ConfigFile())
@@ -328,11 +340,12 @@ class TestConfigFormat:
 
     def test_custom_round_trip(self):
         custom = ConfigFile(
-            filter_spec=FilterSpec(100.0, 0.25, 3.0),
+            low_cutoff_hz=0.25,
+            high_cutoff_hz=3.0,
             filter_order=4,
             counts=CountsConfig(deadband_g=0.05),
-            detector=DetectorConfig(count_threshold=80.0, inactivity_seconds=30.0),
-            device=DeviceConfig(inactivity_options=(5.0, 10.0, 20.0)),
+            count_threshold=80.0,
+            device=DeviceConfig(inactivity_options=(30.0, 10.0, 20.0)),
         )
         assert parse_config(serialize_config(custom)) == custom
 
@@ -351,6 +364,24 @@ class TestConfigFormat:
         with pytest.raises(ParseError, match="whole number") as info:
             parse_config(f"[counts]\nepoch_seconds = 1\n\n[device]\n{key} = {value}\n")
         assert info.value.line == 4
+
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            ("[filter]\nhigh_cutoff_hz = 60\n\n[device]\nvibration_seconds = 4\n", 1),
+            ("[device]\nvibration_seconds = 4\n\n[detector]\ncount_threshold = -1\n", 4),
+            # without a [filter] section, the stock cutoffs misfit the rate
+            ("[device]\nvibration_seconds = 4\n\n[counts]\nsample_rate_hz = 3\n", 4),
+        ],
+    )
+    def test_misfit_is_blamed_on_the_section_it_is_about(self, text, line):
+        with pytest.raises(ParseError) as info:
+            parse_config(text)
+        assert info.value.line == line
+
+    def test_sections_apply_together_in_any_order(self):
+        text = "[filter]\nhigh_cutoff_hz = 60\n\n[counts]\nsample_rate_hz = 200\n"
+        assert parse_config(text).filter_spec == FilterSpec(200.0, 0.305, 60.0)
 
     def test_select_never_raises_on_a_parsed_config(self):
         config = parse_config("[device]\ninactivity_options = 10, 30, 0.05\n")

@@ -10,6 +10,18 @@ the trailing epoch at every tick.
 The conversion constant is treated as a rate: a sustained thresholded
 acceleration equal to `scale_g_per_sec_per_count` accumulates one count per
 second, so one sample contributes `y / scale / sample_rate` counts.
+
+Validation happens once per sample, at the pipeline's boundary: `RawSample`
+rejects non-finite values, and `CountsPipeline.process_sample` rejects an
+off-grid timestamp and any axis beyond the filters' input limit. The public
+stage functions (`rectify_threshold`, `contribution`, `AxisWindow.push`,
+`vm`) each check their own input and then call a private kernel that does
+not. After the filters' `Biquad.step`, the pipeline calls those kernels
+directly, because on input that passed the boundary none of the stage checks
+can fire: the input limit keeps every filter output finite, rectifying bounds
+each contribution to [0, saturation], `_quantum_shift` makes every
+contribution a whole number of quanta, and nonnegative quanta give
+nonnegative epoch sums.
 """
 
 from __future__ import annotations
@@ -18,7 +30,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass, fields
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from ._checks import require_finite
 from .filters import Biquad, BiquadCoefficients, FilterSpec, design_bandpass_cascade
@@ -85,12 +97,20 @@ class CountsConfig:
         return int(round(self.epoch_seconds * self.sample_rate_hz))
 
 
-@dataclass(frozen=True, slots=True)
-class VmCount:
+class VmCount(NamedTuple):
     """Vector-magnitude activity count emitted for one input sample."""
 
     t: float
     value: float
+
+
+def _rectify(y: float, deadband: float, saturation: float) -> float:
+    mag = abs(y)
+    if mag < deadband:
+        return 0.0
+    if mag > saturation:
+        return saturation
+    return mag
 
 
 def rectify_threshold(y: float, cfg: CountsConfig) -> float:
@@ -101,12 +121,11 @@ def rectify_threshold(y: float, cfg: CountsConfig) -> float:
     """
     if not math.isfinite(y):
         raise ValueError(f"filtered value must be finite, got {y!r}")
-    mag = abs(y)
-    if mag < cfg.deadband_g:
-        return 0.0
-    if mag > cfg.saturation_g:
-        return cfg.saturation_g
-    return mag
+    return _rectify(y, cfg.deadband_g, cfg.saturation_g)
+
+
+def _contribution(y_thresholded: float, scale: float, rate: float) -> float:
+    return y_thresholded / scale / rate
 
 
 def contribution(y_thresholded: float, cfg: CountsConfig) -> float:
@@ -115,14 +134,18 @@ def contribution(y_thresholded: float, cfg: CountsConfig) -> float:
         raise ValueError(
             f"thresholded value must lie in [0, {cfg.saturation_g}], got {y_thresholded!r}"
         )
-    return y_thresholded / cfg.scale_g_per_sec_per_count / cfg.sample_rate_hz
+    return _contribution(y_thresholded, cfg.scale_g_per_sec_per_count, cfg.sample_rate_hz)
+
+
+def _vm(sx: float, sy: float, sz: float) -> float:
+    return math.sqrt(sx * sx + sy * sy + sz * sz)
 
 
 def vm(sx: float, sy: float, sz: float) -> float:
     """Euclidean norm of the three per-axis epoch sums."""
     if sx < 0 or sy < 0 or sz < 0:
         raise ValueError(f"epoch sums must be nonnegative, got ({sx}, {sy}, {sz})")
-    return math.sqrt(sx * sx + sy * sy + sz * sz)
+    return _vm(sx, sy, sz)
 
 
 def _quantum_shift(cfg: CountsConfig) -> int:
@@ -179,12 +202,16 @@ class AxisWindow:
             raise ValueError(
                 f"contribution must be a multiple of {self._down!r} up to saturation, got {c!r}"
             )
+        return self._push(x)
+
+    def _push(self, quanta: float) -> float:
+        """`push` for a contribution already scaled to its count of quanta."""
         buf = self._buf
         i = self._idx
         old = buf[i]
-        if x or old:
-            self._sum += int(x) - int(old)
-        buf[i] = x
+        if quanta or old:
+            self._sum += int(quanta) - int(old)
+        buf[i] = quanta
         self._idx = (i + 1) % len(buf)
         return self._sum * self._down
 
@@ -232,6 +259,7 @@ class CountsPipeline:
         self._filters = [[Biquad(c) for c in self.sections] for _ in range(3)]
         self._windows = [AxisWindow(self.config) for _ in range(3)]
         self._input_limit = _input_limit(self.sections)
+        self._up = self._windows[0]._up
         self._last_t: float | None = None
         self._sums = (0.0, 0.0, 0.0)
 
@@ -264,24 +292,39 @@ class CountsPipeline:
         Samples must arrive in time order at the configured rate, each axis
         within the filters' overflow-free range; both are checked before any
         state changes, so a rejected sample leaves the pipeline untouched.
+        Past those two checks and `RawSample`'s finiteness check, each filter
+        section runs through `Biquad.step`, and every later stage runs as the
+        unchecked kernel behind its public function, whose check could not
+        fire here (see the module docstring).
         """
         cfg = self.config
+        t = sample.t
         if self._last_t is not None:
-            check_sample_step(self._last_t, sample.t, cfg.sample_rate_hz)
+            check_sample_step(self._last_t, t, cfg.sample_rate_hz)
         limit = self._input_limit
-        if not (abs(sample.ax) <= limit and abs(sample.ay) <= limit and abs(sample.az) <= limit):
+        ax, ay, az = sample.ax, sample.ay, sample.az
+        if not (abs(ax) <= limit and abs(ay) <= limit and abs(az) <= limit):
             raise ValueError(
-                f"sample at t={sample.t} exceeds {limit:.3g} g, beyond which the filters "
+                f"sample at t={t} exceeds {limit:.3g} g, beyond which the filters "
                 "could overflow"
             )
-        sums = []
-        for value, chain, window in zip(
-            (sample.ax, sample.ay, sample.az), self._filters, self._windows
-        ):
-            y = value
-            for biquad in chain:
-                y = biquad.step(y)
-            sums.append(window.push(contribution(rectify_threshold(y, cfg), cfg)))
-        self._last_t = sample.t
-        self._sums = (sums[0], sums[1], sums[2])
-        return VmCount(sample.t, vm(sums[0], sums[1], sums[2]))
+        deadband, saturation = cfg.deadband_g, cfg.saturation_g
+        scale, rate, up = cfg.scale_g_per_sec_per_count, cfg.sample_rate_hz, self._up
+        # One block per axis, unrolled: a loop over the axes costs a tenth of
+        # the tick in bookkeeping.
+        (fx, fy, fz), (wx, wy, wz) = self._filters, self._windows
+        y = ax
+        for biquad in fx:
+            y = biquad.step(y)
+        sx = wx._push(_contribution(_rectify(y, deadband, saturation), scale, rate) * up)
+        y = ay
+        for biquad in fy:
+            y = biquad.step(y)
+        sy = wy._push(_contribution(_rectify(y, deadband, saturation), scale, rate) * up)
+        y = az
+        for biquad in fz:
+            y = biquad.step(y)
+        sz = wz._push(_contribution(_rectify(y, deadband, saturation), scale, rate) * up)
+        self._last_t = t
+        self._sums = (sx, sy, sz)
+        return VmCount(t, _vm(sx, sy, sz))

@@ -155,8 +155,11 @@ class InactivityDetector:
         cfg = self.cfg
         if self.vibrating:
             return cfg.inactivity_seconds
-        ticks = max(0, self.tick_index - 1 - self.last_reset_tick)
-        return min(ticks * cfg.tick_seconds, cfg.inactivity_seconds)
+        # max and min spelled out: Device.tick reads this on every tick, and
+        # the two builtin calls tripled its cost.
+        ticks = self.tick_index - 1 - self.last_reset_tick
+        seconds = ticks * cfg.tick_seconds if ticks > 0 else 0.0
+        return cfg.inactivity_seconds if cfg.inactivity_seconds < seconds else seconds
 
     @property
     def vibration_elapsed_seconds(self) -> float:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Literal
+from typing import Iterable, Literal, NamedTuple
 
 from ._checks import require_finite
 from .detector import VIB_START, DetectorConfig, DetectorEvent, InactivityDetector, detector_tick
@@ -62,16 +62,27 @@ class DeviceConfig:
 
         Each takes its inactivity duration from the option and the vibration
         time from this config; the threshold and tick size come from `base`.
-        Raises ValueError when a duration is not a whole number of ticks.
+        Raises ValueError, naming this config's key, when a duration is not a
+        whole number of ticks.
         """
-        return tuple(
-            replace(base, inactivity_seconds=seconds, vibration_seconds=self.vibration_seconds)
-            for seconds in self.inactivity_options
-        )
+        # `base` is valid, so each replace can fail only on the field it sets.
+        grid = f"must be a positive whole number of {base.tick_seconds} s ticks"
+        try:
+            base = replace(base, vibration_seconds=self.vibration_seconds)
+        except ValueError:
+            raise ValueError(f"vibration_seconds={self.vibration_seconds} {grid}") from None
+        configs = []
+        for seconds in self.inactivity_options:
+            try:
+                configs.append(replace(base, inactivity_seconds=seconds))
+            except ValueError:
+                raise ValueError(
+                    f"inactivity_options={self.inactivity_options}: {seconds} {grid}"
+                ) from None
+        return tuple(configs)
 
 
-@dataclass(frozen=True, slots=True)
-class DeviceSnapshot:
+class DeviceSnapshot(NamedTuple):
     """Externally visible device state after one tick."""
 
     t: float
@@ -158,13 +169,8 @@ class Device:
             and _flash_on(t, self._vib_anchor, period)
         )
         return DeviceSnapshot(
-            t=t,
-            motor=output.motor_on,
-            white=True,
-            blue=blue,
-            red=red,
-            option=self.selected_option,
-            timer_seconds=self._detector.timer_seconds,
+            t, output.motor_on, True, blue, red, self.selected_option,
+            self._detector.timer_seconds,
         )
 
 

@@ -339,8 +339,8 @@ def parse_snapshots(text: str) -> list[DeviceSnapshot]:
 
 
 def serialize_snapshots(snapshots: Iterable[DeviceSnapshot]) -> str:
-    rows = ((s.t, s.motor, s.white, s.blue, s.red, s.option, s.timer_seconds) for s in snapshots)
-    return _format_rows(SNAPSHOTS_HEADER, _SNAPSHOT_COLUMNS, rows)
+    # A snapshot is a tuple in column order.
+    return _format_rows(SNAPSHOTS_HEADER, _SNAPSHOT_COLUMNS, snapshots)
 
 
 # --------------------------------------------------------------------------

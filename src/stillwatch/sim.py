@@ -363,7 +363,9 @@ class ConfigFile:
             section = "detector"
             DetectorConfig(self.count_threshold)  # checks the threshold alone
             section = "device"
-            self.device.detector_configs(self.detector)
+            # Durations of one tick are on any grid; the device replaces them.
+            tick = 1.0 / self.counts.sample_rate_hz
+            self.device.detector_configs(DetectorConfig(self.count_threshold, tick, tick, tick))
         except ValueError as exc:
             exc.section = section
             raise

@@ -4,7 +4,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from stillwatch import (
@@ -13,6 +13,7 @@ from stillwatch import (
     CountsConfig,
     CountsPipeline,
     RawSample,
+    VmCount,
     contribution,
     rectify_threshold,
     vm,
@@ -405,3 +406,81 @@ class TestPipeline:
                 ys = biquad.process(ys)
             expected = fsum_window_sums(thresholded(ys, cfg), cfg.window_samples)
             assert np.array_equal(sums[:, axis], expected)
+
+
+@st.composite
+def hot_path_cases(draw):
+    """A filter order, a config and a 3-axis stream of square waves whose
+    amplitudes lie below the dead-band, between it and saturation, or above
+    saturation, so filtered values land in all three regions."""
+    order = draw(st.sampled_from([2, 4, 6]))
+    cfg = draw(st.sampled_from([CountsConfig(), CountsConfig(0.01, 0.5, 0.02, 2.0, 50.0)]))
+    bands = [
+        st.floats(0.0, 0.5 * cfg.deadband_g),
+        st.floats(1.5 * cfg.deadband_g, 0.6 * cfg.saturation_g),
+        st.floats(1.5 * cfg.saturation_g, 50.0 * cfg.saturation_g),
+    ]
+    n = draw(st.integers(1, 400))
+    axes = []
+    for _ in range(3):
+        values: list[float] = []
+        while len(values) < n:
+            amplitude = draw(st.one_of(bands))
+            half_period = draw(st.integers(1, int(cfg.sample_rate_hz)))
+            length = draw(st.integers(1, 150))
+            values += [amplitude * (-1) ** (k // half_period) for k in range(length)]
+        axes.append(values[:n])
+    return order, cfg, list(zip(*axes))
+
+
+def reference_chain(sections, cfg: CountsConfig):
+    """The counting chain built from the public, checked stage functions:
+    Biquad.step -> rectify_threshold -> contribution -> AxisWindow.push -> vm.
+    Returns a function from one (ax, ay, az) to (vm, epoch sums)."""
+    chains = [[Biquad(c) for c in sections] for _ in range(3)]
+    windows = [AxisWindow(cfg) for _ in range(3)]
+
+    def advance(xyz):
+        sums = []
+        for y, chain, window in zip(xyz, chains, windows):
+            for biquad in chain:
+                y = biquad.step(y)
+            thresholded = rectify_threshold(y, cfg)
+            event(
+                "below dead-band" if thresholded == 0.0
+                else "saturated" if thresholded == cfg.saturation_g
+                else "in between"
+            )
+            sums.append(window.push(contribution(thresholded, cfg)))
+        return vm(*sums), tuple(sums)
+
+    return advance
+
+
+class TestHotPathDifferential:
+    @settings(max_examples=120, deadline=None)
+    @given(hot_path_cases())
+    @example((2, CountsConfig(), [(0.03, 0.5, 10.0)] * 100 + [(-0.03, -0.5, -10.0)] * 100))
+    def test_process_sample_matches_the_public_stages_bit_for_bit(self, case):
+        order, cfg, stream = case
+        pipeline = CountsPipeline.from_spec(config=cfg, order=order)
+        reference = reference_chain(pipeline.sections, cfg)
+        for k, xyz in enumerate(stream):
+            t = k / cfg.sample_rate_hz
+            count = pipeline.process_sample(RawSample(t, *xyz))
+            ref_vm, ref_sums = reference(xyz)
+            assert count.t == t
+            assert count.value.hex() == ref_vm.hex()
+            assert [s.hex() for s in pipeline.epoch_sums] == [s.hex() for s in ref_sums]
+
+
+class TestVmCountRecord:
+    def test_fields_are_read_only(self):
+        count = VmCount(0.5, 12.0)
+        for name in ("t", "value"):
+            with pytest.raises(AttributeError):
+                setattr(count, name, 1.0)
+
+    def test_equal_fields_compare_equal(self):
+        assert VmCount(0.5, 12.0) == VmCount(t=0.5, value=12.0)
+        assert VmCount(0.5, 12.0) != VmCount(0.5, 12.5)

@@ -14,6 +14,7 @@ from stillwatch import (
     DetectorConfig,
     Device,
     DeviceConfig,
+    DeviceSnapshot,
     InactivityDetector,
     replay_event_log,
 )
@@ -273,3 +274,19 @@ class TestReplay:
     def test_replay_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             replay_event_log(Device(), [(0.0, "bogus", 1.0)])
+
+
+class TestSnapshotRecord:
+    def test_fields_are_read_only(self):
+        snap = Device().tick(0.0, 0.0)
+        for name in ("t", "motor", "white", "blue", "red", "option", "timer_seconds"):
+            with pytest.raises(AttributeError):
+                setattr(snap, name, getattr(snap, name))
+
+    def test_equal_fields_compare_equal(self):
+        snap = Device().tick(0.0, 0.0)
+        assert snap == DeviceSnapshot(
+            t=0.0, motor=False, white=True, blue=False, red=False, option=0, timer_seconds=0.0
+        )
+        assert snap == Device().tick(0.0, 0.0)
+        assert snap != Device().tick(0.0, 0.01)

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -358,12 +361,18 @@ class TestConfigFormat:
 
     @pytest.mark.parametrize(
         "key,value",
-        [("inactivity_options", "10, 30, 0.005"), ("vibration_seconds", "0.005")],
+        [
+            ("inactivity_options", "10, 30, 0.005"),
+            ("inactivity_options", "0.005, 30, 60"),
+            ("vibration_seconds", "0.005"),
+        ],
     )
     def test_device_timing_off_the_tick_grid_fails_at_the_device_line(self, key, value):
         with pytest.raises(ParseError, match="whole number") as info:
-            parse_config(f"[counts]\nepoch_seconds = 1\n\n[device]\n{key} = {value}\n")
+            parse_config(f"[counts]\nsample_rate_hz = 50\n\n[device]\n{key} = {value}\n")
         assert info.value.line == 4
+        # named by the config key, not by the detector field it sets
+        assert f"{key}=" in str(info.value) and "inactivity_seconds" not in str(info.value)
 
     @pytest.mark.parametrize(
         "text,line",
@@ -394,3 +403,18 @@ class TestConfigFormat:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ParseError, match="unknown key"):
             parse_config("[filter]\nq_factor = 2\n")
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_file_examples_parse():
+    # Every fenced block in the sectioned format, by the parser its first
+    # section belongs to.
+    blocks = re.findall(r"^```\n(\[.*?)^```", README.read_text(), flags=re.M | re.S)
+    parsers = []
+    for block in blocks:
+        parse = parse_scenario if block.startswith("[scenario]") else parse_config
+        parse(block)
+        parsers.append(parse)
+    assert sorted(p.__name__ for p in parsers) == ["parse_config", "parse_scenario"]

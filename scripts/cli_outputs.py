@@ -6,7 +6,8 @@ The inputs are fixed: a 300 s sample CSV drawn with numpy (rest, desk work,
 walking and saturating movement), a custom configuration and a scenario with
 motor feedback and button presses, all written as text here rather than by
 stillwatch. From them the script runs `counts` and `detect` (stock and custom
-configuration), `simulate` (trace and events, both configurations),
+configuration; `detect` also on a CRLF copy of the samples, which must give
+the same events), `simulate` (trace and events, both configurations),
 `design-filter --order 2/4/6` and `figure3`, and round-trips the configuration
 and scenario files through their parsers and serializers. Everything lands
 under OUT_DIR, so two commits compare with one command:
@@ -24,6 +25,7 @@ from __future__ import annotations
 import contextlib
 import io
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -159,7 +161,8 @@ def write(path: Path, text: str) -> str:
 
 def write_tree(out_dir: Path) -> None:
     inputs = out_dir / "inputs"
-    samples = write(inputs / "samples.csv", samples_csv())
+    text = samples_csv()
+    samples = write(inputs / "samples.csv", text)
     custom = write(inputs / "custom.cfg", CUSTOM_CONFIG)
     scenario = write(inputs / "scenario.txt", SCENARIO)
     for name, config in (("default", []), ("custom", ["--config", custom])):
@@ -167,6 +170,10 @@ def write_tree(out_dir: Path) -> None:
         run(["detect", samples, *config, "-o", str(out_dir / f"detect_{name}.csv")])
         run(["simulate", scenario, *config, "-o", str(out_dir / f"simulate_{name}_trace.csv"),
              "--events", str(out_dir / f"simulate_{name}_events.csv")])
+    # The copy stays out of the tree: it is the samples input with CRLF line ends.
+    with tempfile.TemporaryDirectory() as scratch:
+        crlf = write(Path(scratch) / "samples_crlf.csv", text.replace("\n", "\r\n"))
+        run(["detect", crlf, "-o", str(out_dir / "detect_crlf.csv")])
     for order in (2, 4, 6):
         write(out_dir / f"design_filter_order{order}.txt",
               run(["design-filter", "--order", str(order)]))

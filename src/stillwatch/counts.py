@@ -12,16 +12,17 @@ acceleration equal to `scale_g_per_sec_per_count` accumulates one count per
 second, so one sample contributes `y / scale / sample_rate` counts.
 
 Validation happens once per sample, at the pipeline's boundary: `RawSample`
-rejects non-finite values, and `CountsPipeline.process_sample` rejects an
-off-grid timestamp and any axis beyond the filters' input limit. The public
-stage functions (`rectify_threshold`, `contribution`, `AxisWindow.push`,
-`vm`) each check their own input and then call a private kernel that does
-not. After the filters' `Biquad.step`, the pipeline calls those kernels
-directly, because on input that passed the boundary none of the stage checks
-can fire: the input limit keeps every filter output finite, rectifying bounds
-each contribution to [0, saturation], `_quantum_shift` makes every
-contribution a whole number of quanta, and nonnegative quanta give
-nonnegative epoch sums.
+rejects non-finite values when it is built (inline for four floats, through
+`require_finite` for anything else), and `CountsPipeline.process_sample`
+rejects an off-grid timestamp and any axis beyond the filters' input limit.
+The public stage functions (`rectify_threshold`, `contribution`,
+`AxisWindow.push`, `vm`) each check their own input and then call a private
+kernel that does not. After the filters' `Biquad.step`, the pipeline calls
+those kernels directly, because on input that passed the boundary none of
+the stage checks can fire: the input limit keeps every filter output finite,
+rectifying bounds each contribution to [0, saturation], `_quantum_shift`
+makes every contribution a whole number of quanta, and nonnegative quanta
+give nonnegative epoch sums.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass, fields
+from math import isfinite
 from typing import NamedTuple, Sequence
 
 from ._checks import require_finite
@@ -55,17 +57,37 @@ def check_sample_step(prev_t: float, t: float, sample_rate_hz: float) -> None:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class RawSample:
-    """One timestamped 3-axis accelerometer reading, time in seconds, axes in g."""
-
+class _RawSampleFields(NamedTuple):
     t: float
     ax: float
     ay: float
     az: float
 
-    def __post_init__(self) -> None:
-        require_finite(self, ("t", "ax", "ay", "az"))
+
+class RawSample(_RawSampleFields):
+    """One timestamped 3-axis accelerometer reading, time in seconds, axes in g.
+
+    An immutable tuple of four finite numbers, checked when it is built.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, t: float, ax: float, ay: float, az: float) -> RawSample:
+        self = tuple.__new__(cls, (t, ax, ay, az))
+        # Four finite floats, as every parsed or simulated sample is, pass the
+        # inline test; anything else (an int, a NaN, a string) goes through
+        # require_finite, which accepts ints and names the first bad field.
+        if not (
+            type(t) is float and type(ax) is float and type(ay) is float and type(az) is float
+            and isfinite(t) and isfinite(ax) and isfinite(ay) and isfinite(az)
+        ):
+            require_finite(self, cls._fields)
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> RawSample:
+        # The namedtuple `_make` (and `_replace`, which calls it) would skip the check.
+        return cls(*iterable)
 
 
 @dataclass(frozen=True, slots=True)
@@ -298,11 +320,10 @@ class CountsPipeline:
         fire here (see the module docstring).
         """
         cfg = self.config
-        t = sample.t
+        t, ax, ay, az = sample
         if self._last_t is not None:
             check_sample_step(self._last_t, t, cfg.sample_rate_hz)
         limit = self._input_limit
-        ax, ay, az = sample.ax, sample.ay, sample.az
         if not (abs(ax) <= limit and abs(ay) <= limit and abs(az) <= limit):
             raise ValueError(
                 f"sample at t={t} exceeds {limit:.3g} g, beyond which the filters "

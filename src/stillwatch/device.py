@@ -115,6 +115,18 @@ class Device:
         self.config = config or DeviceConfig()
         # Built up front, so a select press can never meet an invalid option.
         self._detector_cfgs = self.config.detector_configs(detector_config or DetectorConfig())
+        # The device sets the durations; a detector config may only agree with them.
+        first = self._detector_cfgs[0]
+        if detector_config is not None and (
+            detector_config.inactivity_ticks != first.inactivity_ticks
+            or detector_config.vibration_ticks != first.vibration_ticks
+        ):
+            raise ValueError(
+                f"detector_config times {detector_config.inactivity_seconds} s of inactivity "
+                f"and {detector_config.vibration_seconds} s of vibration, but the device's "
+                f"option 0 and vibration_seconds are {first.inactivity_seconds} s and "
+                f"{first.vibration_seconds} s"
+            )
         self.power = True
         self.selected_option = 0
         self.red_led_enabled = self.config.red_led_enabled_default

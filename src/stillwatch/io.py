@@ -20,6 +20,14 @@ Parsers are strict: the first problem raises ParseError carrying the line
 number, and nothing is returned. Serializers emit canonical text, so
 serialize(parse(text)) reproduces canonical input byte for byte.
 
+Raw samples, the one format read at length, are parsed in two stages. numpy
+reads the body into an array, whose values and timestamp grid are checked
+as arrays; each row then becomes a `RawSample`, which checks its own fields
+when built (see stillwatch.counts). A file that fails any of that is parsed
+again line by line, and that parser alone decides: it accepts what float()
+reads, which includes every token numpy does, or names the first bad line.
+The wide trace is written one %-formatted row at a time.
+
 Formats:
   samples        t,ax,ay,az                     raw accelerometer stream
   counts         t,vm,sx,sy,sz                  VM counts and epoch sums
@@ -227,7 +235,34 @@ def parse_samples(
     text: str, sample_rate_hz: float = CountsConfig().sample_rate_hz
 ) -> list[RawSample]:
     """Parse a raw sample CSV, checking that each timestamp is one sample
-    period after the one before."""
+    period after the one before.
+
+    numpy reads the body and its values are checked as arrays; a file that
+    fails any of that is parsed again line by line, which decides: it returns
+    the samples or raises on the first bad line.
+    """
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    # A blank first row is refused below; loadtxt would skip it and, with
+    # nothing after it, warn that it read no data.
+    if len(lines) > 1 and lines[0] == SAMPLES_HEADER and lines[1] not in ("", "\r"):
+        body = lines[1:]
+        try:
+            # No comment character: loadtxt's default would accept `1.0#x`.
+            values = np.loadtxt(body, delimiter=",", comments=None, dtype=float, ndmin=2)
+        except ValueError:
+            values = None
+        # loadtxt skips blank lines, which the row count shows.
+        if values is not None and values.shape == (len(body), 4) and np.isfinite(values).all():
+            step = values[1:, 0] - values[:-1, 0]  # check_sample_step, per row
+            if ((step > 0) & (np.abs(step - 1.0 / sample_rate_hz) <= 1e-9)).all():
+                return list(map(RawSample, *values.T.tolist()))
+    return _parse_sample_lines(text, sample_rate_hz)
+
+
+def _parse_sample_lines(text: str, sample_rate_hz: float) -> list[RawSample]:
+    """`parse_samples` one line at a time; the first problem raises on its line."""
     samples: list[RawSample] = []
     prev_t: float | None = None
     for i, fields in _csv_rows(text, SAMPLES_HEADER):
@@ -280,14 +315,22 @@ _TRACE_CODECS: dict[type, _Codec] = {np.float64: _G9, np.bool_: _FLAG, np.int64:
 _TRACE_CSV = [_TRACE_CODECS[dtype] for _, dtype in TRACE_COLUMNS]
 
 
+# One %-format per trace row. %.9g writes a float as _g9 does, except -0.0,
+# which `+ 0.0` turns into 0.0 first; %d writes a flag as 0/1 and an option as
+# its digit, as _FLAG and _OPTION do.
+_TRACE_ROW = ",".join("%.9g" if dtype is np.float64 else "%d" for _, dtype in TRACE_COLUMNS)
+
+
 def serialize_trace(trace: SimulationTrace) -> str:
     arrays = [getattr(trace, name) for name, _ in TRACE_COLUMNS]
-    # Python floats for one block of rows at a time, to bound memory.
-    blocks = (
-        zip(*[array[start:start + _BLOCK_ROWS].tolist() for array in arrays])
-        for start in range(0, len(trace), _BLOCK_ROWS)
-    )
-    return _format_rows(TRACE_HEADER, _TRACE_CSV, itertools.chain.from_iterable(blocks))
+    parts = [TRACE_HEADER, "\n"]
+    # Python values for one block of rows at a time, to bound memory.
+    for start in range(0, len(trace), _BLOCK_ROWS):
+        block = [array[start:start + _BLOCK_ROWS] for array in arrays]
+        columns = [(c + 0.0 if c.dtype == np.float64 else c).tolist() for c in block]
+        parts.append("\n".join(map(_TRACE_ROW.__mod__, zip(*columns))))
+        parts.append("\n")
+    return "".join(parts)
 
 
 def parse_trace(text: str) -> SimulationTrace:

@@ -11,6 +11,7 @@ GOLDEN_EVENTS = ROOT / "tests" / "data" / "figure3_events.csv"
 TREE = {
     "inputs/samples.csv", "inputs/custom.cfg", "inputs/scenario.txt",
     "counts_default.csv", "counts_custom.csv", "detect_default.csv", "detect_custom.csv",
+    "detect_crlf.csv",
     "simulate_default_trace.csv", "simulate_default_events.csv",
     "simulate_custom_trace.csv", "simulate_custom_events.csv",
     "design_filter_order2.txt", "design_filter_order4.txt", "design_filter_order6.txt",
@@ -35,3 +36,4 @@ def test_script_writes_the_output_tree(tmp_path):
     assert all((out / name).stat().st_size > 0 for name in files)
     assert len((out / "design_filter_order6.txt").read_text().splitlines()) == 3
     assert (out / "figure3" / "figure3_events.csv").read_bytes() == GOLDEN_EVENTS.read_bytes()
+    assert (out / "detect_crlf.csv").read_bytes() == (out / "detect_default.csv").read_bytes()

@@ -484,3 +484,38 @@ class TestVmCountRecord:
     def test_equal_fields_compare_equal(self):
         assert VmCount(0.5, 12.0) == VmCount(t=0.5, value=12.0)
         assert VmCount(0.5, 12.0) != VmCount(0.5, 12.5)
+
+
+class TestRawSampleRecord:
+    def test_fields_are_read_only(self):
+        sample = RawSample(0.01, 0.0, 0.0, 1.0)
+        for name in ("t", "ax", "ay", "az"):
+            with pytest.raises(AttributeError):
+                setattr(sample, name, 2.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), "a"])
+    @pytest.mark.parametrize("field", range(4))
+    def test_nonfinite_value_fails_naming_its_field(self, bad, field):
+        values = [0.01, 0.0, 0.0, 1.0]
+        values[field] = bad
+        name = ("t", "ax", "ay", "az")[field]
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number, got {bad!r}$"):
+            RawSample(*values)
+        # The namedtuple constructors that bypass `__new__` check too.
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
+            RawSample._make(values)
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
+            RawSample(0.01, 0.0, 0.0, 1.0)._replace(**{name: bad})
+
+    def test_ints_and_float_subclasses_are_accepted_as_given(self):
+        sample = RawSample(0, 1, np.float64(0.5), True)
+        assert sample == (0, 1, 0.5, True)
+        assert type(sample.t) is int and type(sample.ay) is np.float64
+
+    def test_keyword_construction(self):
+        assert RawSample(t=0.01, ax=0.1, ay=0.2, az=1.0) == RawSample(0.01, 0.1, 0.2, 1.0)
+
+    def test_equal_fields_compare_equal(self):
+        assert RawSample(0.01, 0.1, 0.2, 1.0) == RawSample(0.01, 0.1, 0.2, 1.0)
+        assert RawSample(0.01, 0.1, 0.2, 1.0) != RawSample(0.01, 0.1, 0.2, 1.5)
+        assert hash(RawSample(0.01, 0.1, 0.2, 1.0)) == hash(RawSample(0.01, 0.1, 0.2, 1.0))

@@ -120,6 +120,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             DeviceConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "detector_config",
+        [DetectorConfig(inactivity_seconds=20.0), DetectorConfig(vibration_seconds=4.0)],
+    )
+    def test_detector_config_must_agree_with_the_device_durations(self, detector_config):
+        with pytest.raises(ValueError, match="option 0 and vibration_seconds are 10.0 s and 5.0 s"):
+            Device(DeviceConfig(), detector_config)
+
     def test_option_off_the_tick_grid_fails_at_construction(self):
         # not at the select press that would switch to it
         with pytest.raises(ValueError, match="whole number"):
@@ -239,7 +247,7 @@ class TestSelectDifferential:
         options, vibration, threshold, vms, presses = case
         device = Device(
             DeviceConfig(tuple(k * TICK for k in options), vibration * TICK),
-            DetectorConfig(count_threshold=threshold, tick_seconds=TICK),
+            DetectorConfig(threshold, options[0] * TICK, vibration * TICK, TICK),
         )
         changes = []
         option = 0

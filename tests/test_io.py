@@ -3,9 +3,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import stillwatch.io
 from stillwatch import (
     AmbientVibration,
     BurstMovement,
@@ -27,8 +28,13 @@ from stillwatch import (
     run,
 )
 from stillwatch.io import (
+    TRACE_HEADER,
+    _TRACE_CSV,
     ConfigFile,
     ParseError,
+    _format_rows,
+    _g9,
+    _parse_sample_lines,
     parse_config,
     parse_counts,
     parse_device_log,
@@ -142,6 +148,91 @@ class TestSamples:
             parse_samples("t,ax,ay,az\n0.00,0,0,1\n0.01,0,0,1\n", sample_rate_hz=50.0)
 
 
+# Ways to spoil one row of a valid sample file: each replaces the fields of
+# the row (t first) with the fields it returns.
+ROW_MUTATIONS = {
+    "extra field": lambda f: f + ["0"],
+    "missing field": lambda f: f[:-1],
+    "comment suffix": lambda f: f[:-1] + [f[-1] + "#x"],
+    "digit grouping": lambda f: [f[0], "1_000"] + f[2:],
+    "arabic-indic digit": lambda f: [f[0], "\u0661"] + f[2:],
+    "nan": lambda f: [f[0], "nan"] + f[2:],
+    "inf": lambda f: f[:2] + ["-inf"] + f[3:],
+    "overflow": lambda f: f[:3] + ["1e999"],
+    "off-grid t": lambda f: [repr(float(f[0]) + 0.005)] + f[1:],
+    "barely off-grid t": lambda f: [repr(float(f[0]) + 2e-9)] + f[1:],
+    "padded": lambda f: [" " + f[0], f[1] + "\t", "\x0c" + f[2] + " "] + f[3:],
+    "carriage return": lambda f: f[:-1] + [f[-1] + "\r"],
+}
+
+
+@st.composite
+def sample_files(draw):
+    """Sample CSV text on the 100 Hz grid, valid or spoilt at a few places."""
+    n = draw(st.integers(1, 8))
+    t0 = draw(st.integers(-1000, 100_000)) / 100.0
+    values = st.floats(allow_nan=False, allow_infinity=False)
+    spell = st.sampled_from([repr, "{:.17g}".format, "{:.3f}".format, "{:e}".format])
+    rows = [
+        [repr(t0 + k / 100.0)] + [draw(spell)(draw(values)) for _ in range(3)] for k in range(n)
+    ]
+    for name in draw(st.lists(st.sampled_from(sorted(ROW_MUTATIONS)), max_size=2)):
+        k = draw(st.integers(0, n - 1))
+        rows[k] = ROW_MUTATIONS[name](rows[k])
+    lines = ["t,ax,ay,az"] + [",".join(row) for row in rows]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(1, len(lines))), "")  # a blank line
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from([newline, ""]))
+
+
+def parse_outcome(parse, text):
+    """The samples, bit for bit, or the error's line and message."""
+    try:
+        return [tuple(value.hex() for value in sample) for sample in parse(text, 100.0)]
+    except ParseError as exc:
+        return exc.line, exc.message
+
+
+class TestSamplesDifferential:
+    """`parse_samples` reads with numpy first; it must agree with the line parser."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(sample_files())
+    @example("t,ax,ay,az\n0,0,0,1\n")
+    @example("t,ax,ay,az\n\r\n")
+    @example("t,ax,ay,az\n0,0,0,1\n\r\n0.01,0,0,1\n")
+    @example("t,ax,ay,az\n0,0,0,1\r\r\n")
+    @example("t,ax,ay,az\n0,0\r,0,1\n")
+    @example("t,ax,ay,az\n0,0,0,1\n0.01,0,0,1\n\n")
+    @example("t,ax,ay,az\n0,0,0,1\x0c\n0.01,\u3000 0,0,1\x1c\n")
+    @example("t,ax,ay,az\n0,,0,1\n")
+    @example("t,ax,ay,az\n0, ,0,1\n")
+    def test_matches_the_line_parser(self, text):
+        assert parse_outcome(parse_samples, text) == parse_outcome(_parse_sample_lines, text)
+
+    @pytest.mark.parametrize("name", sorted(ROW_MUTATIONS))
+    def test_each_spoilt_row_goes_to_the_line_parser(self, name):
+        rows = [["0.0", "0.5", "-0.25", "1.0"], ["0.01", "0.5", "-0.25", "1.0"]]
+        rows[1] = ROW_MUTATIONS[name](rows[1])
+        text = "t,ax,ay,az\n" + "\n".join(map(",".join, rows)) + "\n"
+        want = parse_outcome(_parse_sample_lines, text)
+        assert parse_outcome(parse_samples, text) == want
+        if name in ("digit grouping", "arabic-indic digit", "padded", "carriage return"):
+            assert isinstance(want, list)  # float() reads the row
+        else:
+            assert want[0] == 3  # the line parser names the spoilt row
+
+    def test_well_formed_file_is_read_by_numpy(self, monkeypatch):
+        text = serialize_samples(random_samples(np.random.default_rng(53), 50))
+
+        def refuse(*args):
+            raise AssertionError("fell back to the line parser")
+
+        monkeypatch.setattr(stillwatch.io, "_parse_sample_lines", refuse)
+        assert len(parse_samples(text)) == 50
+
+
 class TestCountsRows:
     def test_round_trip(self):
         rng = np.random.default_rng(52)
@@ -175,6 +266,30 @@ class TestTrace:
         trace = run(canonical_scenario(duration_seconds=12.0))
         text = serialize_trace(trace)
         assert serialize_trace(parse_trace(text)) == text
+
+    def test_row_format_writes_what_the_column_codecs_write(self):
+        trace = run(canonical_scenario(duration_seconds=12.0))
+        n = len(trace)
+        trace.ax[:3] = [-0.0, 5e-324, -1.7976931348623157e308]
+        trace.vm[:2] = [-0.0, 1e16]
+        trace.option[:] = np.arange(n) % 3
+        for flag in ("motor", "white", "blue", "red"):
+            getattr(trace, flag)[:] = np.arange(n) % 2 == 1
+        rows = zip(*(getattr(trace, name).tolist() for name in TRACE_HEADER.split(",")))
+        text = serialize_trace(trace)
+        assert text == _format_rows(TRACE_HEADER, _TRACE_CSV, rows)
+        assert text.splitlines()[1].startswith("0,0,")
+
+    @settings(max_examples=300)
+    @given(st.floats())
+    @example(-0.0)
+    @example(5e-324)
+    @example(2.2250738585072014e-308)
+    @example(1e16)
+    @example(1.7976931348623157e308)
+    @example(-1.7976931348623157e308)
+    def test_g9_is_the_row_format_of_a_float(self, x):
+        assert _g9(x) == "%.9g" % (x + 0.0)
 
     def test_bad_flag_rejected(self):
         header = ("t,ax,ay,az,vm,sx,sy,sz,timer,motor,white,blue,red,option")

@@ -170,7 +170,8 @@ def write_tree(out_dir: Path) -> None:
         run(["detect", samples, *config, "-o", str(out_dir / f"detect_{name}.csv")])
         run(["simulate", scenario, *config, "-o", str(out_dir / f"simulate_{name}_trace.csv"),
              "--events", str(out_dir / f"simulate_{name}_events.csv")])
-    # The copy stays out of the tree: it is the samples input with CRLF line ends.
+    # The copy stays out of the tree: it is the samples input with CRLF line
+    # ends, which reach `parse_samples` as written and take its numpy path.
     with tempfile.TemporaryDirectory() as scratch:
         crlf = write(Path(scratch) / "samples_crlf.csv", text.replace("\n", "\r\n"))
         run(["detect", crlf, "-o", str(out_dir / "detect_crlf.csv")])

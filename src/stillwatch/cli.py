@@ -29,7 +29,9 @@ __all__ = ["main", "app"]
 
 
 def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    # Line ends reach the parsers as written: they alone judge them.
+    with open(path, encoding="utf-8", newline="") as fh:
+        return fh.read()
 
 
 def _write_output(text: str, path: str | None) -> None:

@@ -35,7 +35,7 @@ from math import isfinite
 from typing import NamedTuple, Sequence
 
 from ._checks import require_finite
-from .filters import Biquad, BiquadCoefficients, FilterSpec, design_bandpass_cascade
+from .filters import _STOCK_ORDER, Biquad, BiquadCoefficients, FilterSpec, design_bandpass_cascade
 
 __all__ = [
     "RawSample",
@@ -98,7 +98,7 @@ class CountsConfig:
     saturation_g: float = 2.13
     scale_g_per_sec_per_count: float = 0.01664
     epoch_seconds: float = 1.0
-    sample_rate_hz: float = 100.0
+    sample_rate_hz: float = FilterSpec().sample_rate_hz
 
     def __post_init__(self) -> None:
         require_finite(self, [f.name for f in fields(self)], positive=True)
@@ -290,7 +290,7 @@ class CountsPipeline:
         cls,
         filter_spec: FilterSpec | None = None,
         config: CountsConfig | None = None,
-        order: int = 2,
+        order: int = _STOCK_ORDER,
     ) -> "CountsPipeline":
         """Build a pipeline designing the band-pass from a spec; the stock pass
         band at the counts sample rate when no spec is given."""

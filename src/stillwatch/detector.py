@@ -27,7 +27,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Literal
 
-from ._checks import require_finite
+from ._checks import require_finite, whole_ticks
+from .filters import FilterSpec
 
 __all__ = [
     "RESET",
@@ -58,7 +59,7 @@ class DetectorConfig:
     count_threshold: float = 125.0
     inactivity_seconds: float = 10.0
     vibration_seconds: float = 5.0
-    tick_seconds: float = 0.01
+    tick_seconds: float = 1.0 / FilterSpec().sample_rate_hz
     inactivity_ticks: int = field(init=False)
     vibration_ticks: int = field(init=False)
 
@@ -70,13 +71,9 @@ class DetectorConfig:
         )
         for name, ticks_name in (("inactivity_seconds", "inactivity_ticks"),
                                  ("vibration_seconds", "vibration_ticks")):
-            ticks = getattr(self, name) / self.tick_seconds
-            if abs(ticks - round(ticks)) > 1e-6 or round(ticks) < 1:
-                raise ValueError(
-                    f"{name}={getattr(self, name)} must be a positive whole number of "
-                    f"{self.tick_seconds} s ticks"
-                )
-            object.__setattr__(self, ticks_name, round(ticks))
+            seconds = getattr(self, name)
+            ticks = whole_ticks(f"{name}={seconds}", seconds, self.tick_seconds)
+            object.__setattr__(self, ticks_name, ticks)
 
 
 @dataclass(frozen=True, slots=True)

@@ -4,7 +4,9 @@ Three buttons: one cycles through the three preprogrammed inactivity
 durations, one toggles the red vibration-indicator LED, one powers the watch
 off. Three LEDs: white is lit whenever the watch is on, blue flashes once,
 twice or thrice after a selection to show which duration is active, and red
-flashes while the motor vibrates (only when enabled).
+flashes while the motor vibrates (only when enabled). The watch keeps one
+clock, the detector's tick counter: the LEDs count its ticks too, and a
+button press takes effect from the next tick.
 
 Power-off is absorbing for a device instance: the motor and every LED turn
 off and nothing reacts anymore; powering back on is modeled as constructing
@@ -14,11 +16,11 @@ a fresh device.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Literal, NamedTuple
 
-from ._checks import require_finite
-from .detector import VIB_START, DetectorConfig, DetectorEvent, InactivityDetector, detector_tick
+from ._checks import require_finite, whole_ticks
+from .detector import DetectorConfig, DetectorEvent, InactivityDetector, detector_tick
 
 __all__ = [
     "SELECT",
@@ -37,12 +39,13 @@ RED_TOGGLE: Button = "red"
 POWER: Button = "power"
 
 _BUTTONS = (SELECT, RED_TOGGLE, POWER)
+_STOCK = DetectorConfig()  # the stock durations: option 0's and the vibration's
 
 
 @dataclass(frozen=True, slots=True)
 class DeviceConfig:
-    inactivity_options: tuple[float, float, float] = (10.0, 30.0, 60.0)
-    vibration_seconds: float = 5.0
+    inactivity_options: tuple[float, float, float] = (_STOCK.inactivity_seconds, 30.0, 60.0)
+    vibration_seconds: float = _STOCK.vibration_seconds
     red_led_enabled_default: bool = False
     blue_flash_period_seconds: float = 0.25
 
@@ -57,29 +60,22 @@ class DeviceConfig:
         object.__setattr__(self, "inactivity_options", options)
         require_finite(self, ("vibration_seconds", "blue_flash_period_seconds"), positive=True)
 
-    def detector_configs(self, base: DetectorConfig) -> tuple[DetectorConfig, ...]:
+    def detector_configs(
+        self, count_threshold: float, tick_seconds: float
+    ) -> tuple[DetectorConfig, ...]:
         """The detector configuration for each inactivity option, in option order.
 
         Each takes its inactivity duration from the option and the vibration
-        time from this config; the threshold and tick size come from `base`.
-        Raises ValueError, naming this config's key, when a duration is not a
-        whole number of ticks.
+        time from this config. Raises ValueError, naming this config's key,
+        when a duration is not a whole number of ticks.
         """
-        # `base` is valid, so each replace can fail only on the field it sets.
-        grid = f"must be a positive whole number of {base.tick_seconds} s ticks"
-        try:
-            base = replace(base, vibration_seconds=self.vibration_seconds)
-        except ValueError:
-            raise ValueError(f"vibration_seconds={self.vibration_seconds} {grid}") from None
-        configs = []
-        for seconds in self.inactivity_options:
-            try:
-                configs.append(replace(base, inactivity_seconds=seconds))
-            except ValueError:
-                raise ValueError(
-                    f"inactivity_options={self.inactivity_options}: {seconds} {grid}"
-                ) from None
-        return tuple(configs)
+        options, vibration = self.inactivity_options, self.vibration_seconds
+        whole_ticks(f"vibration_seconds={vibration}", vibration, tick_seconds)
+        for option in options:
+            whole_ticks(f"inactivity_options={options}: {option}", option, tick_seconds)
+        return tuple(
+            DetectorConfig(count_threshold, option, vibration, tick_seconds) for option in options
+        )
 
 
 class DeviceSnapshot(NamedTuple):
@@ -92,12 +88,6 @@ class DeviceSnapshot(NamedTuple):
     red: bool
     option: int
     timer_seconds: float
-
-
-def _flash_on(t: float, anchor: float, period: float) -> bool:
-    # Square wave: on for the first half of each period from the anchor.
-    dt = t - anchor
-    return dt >= 0.0 and (dt % period) < period / 2.0
 
 
 class Device:
@@ -113,8 +103,9 @@ class Device:
         detector_config: DetectorConfig | None = None,
     ):
         self.config = config or DeviceConfig()
+        base = detector_config or DetectorConfig()
         # Built up front, so a select press can never meet an invalid option.
-        self._detector_cfgs = self.config.detector_configs(detector_config or DetectorConfig())
+        self._detector_cfgs = self.config.detector_configs(base.count_threshold, base.tick_seconds)
         # The device sets the durations; a detector config may only agree with them.
         first = self._detector_cfgs[0]
         if detector_config is not None and (
@@ -127,14 +118,17 @@ class Device:
                 f"option 0 and vibration_seconds are {first.inactivity_seconds} s and "
                 f"{first.vibration_seconds} s"
             )
+        # In ticks, snapped to a whole or half tick within 1e-6: 0.07 / 0.01 is 7.000000000000001.
+        period = self.config.blue_flash_period_seconds / base.tick_seconds
+        snapped = round(2.0 * period) / 2.0
+        self._flash_period = snapped if snapped and abs(period - snapped) <= 1e-6 else period
         self.power = True
         self.selected_option = 0
         self.red_led_enabled = self.config.red_led_enabled_default
         self.events: list[DetectorEvent] = []
-        self._detector = InactivityDetector(self._detector_cfgs[0])
-        self._vib_anchor = 0.0
-        self._blue_anchor: float | None = None
-        self._blue_flashes = 0
+        self._detector = InactivityDetector(first)
+        self._blue_start = 0
+        self._blue_end = 0.0
 
     @property
     def detector_config(self) -> DetectorConfig:
@@ -142,7 +136,8 @@ class Device:
         return self._detector.cfg
 
     def press_button(self, button: Button, t: float) -> None:
-        """Apply one button press at time t. All presses are no-ops while off."""
+        """Apply one button press, from the next tick on; no-op while off. `t` times
+        nothing (the watch counts ticks); it lets a timed input log replay as is."""
         if button not in _BUTTONS:
             raise ValueError(f"unknown button {button!r}")
         if not self.power:
@@ -152,8 +147,8 @@ class Device:
             self._detector.cfg = self._detector_cfgs[self.selected_option]
             # Switching options must not fire an alert instantly.
             self._detector.last_reset_tick = self._detector.tick_index
-            self._blue_anchor = t
-            self._blue_flashes = self.selected_option + 1
+            self._blue_start = self._detector.tick_index
+            self._blue_end = self._blue_start + (self.selected_option + 1) * self._flash_period
         elif button == RED_TOGGLE:
             self.red_led_enabled = not self.red_led_enabled
         else:  # POWER
@@ -163,26 +158,18 @@ class Device:
         """Advance one tick; returns the LED/motor snapshot after it."""
         if not self.power:
             return DeviceSnapshot(t, False, False, False, False, self.selected_option, 0.0)
-        output = detector_tick(self._detector, vm_count, t)
-        for event in output.events:
-            self.events.append(event)
-            if event.kind == VIB_START:
-                self._vib_anchor = event.t
-        period = self.config.blue_flash_period_seconds
-        blue = False
-        if self._blue_anchor is not None:
-            if t - self._blue_anchor >= self._blue_flashes * period:
-                self._blue_anchor = None
-            else:
-                blue = _flash_on(t, self._blue_anchor, period)
-        red = (
-            self.red_led_enabled
-            and output.motor_on
-            and _flash_on(t, self._vib_anchor, period)
+        detector = self._detector
+        k = detector.tick_index
+        output = detector_tick(detector, vm_count, t)
+        self.events.extend(output.events)
+        period = self._flash_period
+        blue = k < self._blue_end and (k - self._blue_start) % period < period / 2.0
+        red = self.red_led_enabled and output.motor_on and (
+            (k - detector.vibration_start_tick) % period < period / 2.0
         )
         return DeviceSnapshot(
             t, output.motor_on, True, blue, red, self.selected_option,
-            self._detector.timer_seconds,
+            detector.timer_seconds,
         )
 
 

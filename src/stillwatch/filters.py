@@ -29,6 +29,8 @@ __all__ = [
     "frequency_response",
 ]
 
+_STOCK_ORDER = 2  # the stock overall band-pass order: one second-order section
+
 # Relative tolerance for the structural zeros a band-pass must have at DC and
 # at the Nyquist frequency.
 _ZERO_TOL = 1e-12
@@ -97,7 +99,9 @@ def _prototype_poles(n: int) -> list[complex]:
     return [cmath.exp(1j * math.pi * (2 * k + n + 1) / (2 * n)) for k in range(n)]
 
 
-def design_bandpass_cascade(spec: FilterSpec, order: int = 2) -> tuple[BiquadCoefficients, ...]:
+def design_bandpass_cascade(
+    spec: FilterSpec, order: int = _STOCK_ORDER
+) -> tuple[BiquadCoefficients, ...]:
     """Design a Butterworth band-pass of the given overall order as a biquad cascade.
 
     `order` is the overall filter order and must be even (a band-pass doubles

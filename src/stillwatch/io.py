@@ -244,9 +244,10 @@ def parse_samples(
     lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()
-    # A blank first row is refused below; loadtxt would skip it and, with
+    # loadtxt reads one trailing "\r" per line, so CRLF files take this path
+    # too. A blank first row is refused below; loadtxt would skip it and, with
     # nothing after it, warn that it read no data.
-    if len(lines) > 1 and lines[0] == SAMPLES_HEADER and lines[1] not in ("", "\r"):
+    if len(lines) > 1 and lines[0].rstrip("\r") == SAMPLES_HEADER and lines[1] not in ("", "\r"):
         body = lines[1:]
         try:
             # No comment character: loadtxt's default would accept `1.0#x`.
@@ -394,6 +395,9 @@ def _read_sections(text: str) -> list[tuple[int, str, list[tuple[int, str, str]]
     sections: list[tuple[int, str, list[tuple[int, str, str]]]] = []
     current: list[tuple[int, str, str]] | None = None
     for i, raw in enumerate(text.split("\n"), start=1):
+        # A lone "\r" would hide what follows it, in a comment say.
+        if "\r" in raw.rstrip("\r"):
+            raise ParseError("line ends must be LF or CRLF, got a lone CR", i)
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -29,7 +29,7 @@ import numpy as np
 from .counts import CountsConfig, CountsPipeline, RawSample
 from .detector import DetectorConfig, DetectorEvent
 from .device import Button, Device, DeviceConfig
-from .filters import FilterSpec
+from .filters import _STOCK_ORDER, FilterSpec
 
 __all__ = [
     "Axis",
@@ -228,7 +228,7 @@ _NOISE_BLOCK = 256
 class ScenarioSampler:
     """Sample generator for one scenario at a fixed rate."""
 
-    def __init__(self, scenario: Scenario, sample_rate_hz: float = 100.0):
+    def __init__(self, scenario: Scenario, sample_rate_hz: float = CountsConfig().sample_rate_hz):
         if not (math.isfinite(sample_rate_hz) and sample_rate_hz > 0):
             raise ValueError(f"sample_rate_hz must be positive, got {sample_rate_hz!r}")
         nyquist = sample_rate_hz / 2.0
@@ -255,6 +255,20 @@ class ScenarioSampler:
         self.scenario = scenario
         self.sample_rate_hz = sample_rate_hz
         self.n_ticks = int(round(ticks))
+        # The buttons pressed at each tick, in time order: a press takes effect
+        # at the first tick k with t <= k / rate + 1e-9. The estimate from the
+        # product is at most one tick high, so the walk starts a tick below it.
+        self.presses: dict[int, list[Button]] = {}
+        for press in sorted(scenario.button_presses, key=lambda p: p.t):
+            k = max(0, math.ceil((press.t - 1e-9) * sample_rate_hz) - 1)
+            while press.t > k / sample_rate_hz + 1e-9:
+                k += 1
+            if k >= self.n_ticks:
+                last = (self.n_ticks - 1) / sample_rate_hz
+                raise ValueError(
+                    f"button press at t={press.t} comes after the last tick, at t={last}"
+                )
+            self.presses.setdefault(k, []).append(press.button)
         # The one noise block held: its index and its rows, drawn on first use.
         self._block_index = -1
         self._block: list[list[float]] = []
@@ -348,7 +362,7 @@ class ConfigFile:
 
     low_cutoff_hz: float = FilterSpec().low_cutoff_hz
     high_cutoff_hz: float = FilterSpec().high_cutoff_hz
-    filter_order: int = 2
+    filter_order: int = _STOCK_ORDER
     counts: CountsConfig = field(default_factory=CountsConfig)
     count_threshold: float = DetectorConfig().count_threshold
     device: DeviceConfig = field(default_factory=DeviceConfig)
@@ -363,9 +377,7 @@ class ConfigFile:
             section = "detector"
             DetectorConfig(self.count_threshold)  # checks the threshold alone
             section = "device"
-            # Durations of one tick are on any grid; the device replaces them.
-            tick = 1.0 / self.counts.sample_rate_hz
-            self.device.detector_configs(DetectorConfig(self.count_threshold, tick, tick, tick))
+            self.detector  # checks the durations against the tick
         except ValueError as exc:
             exc.section = section
             raise
@@ -376,8 +388,8 @@ class ConfigFile:
 
     @property
     def detector(self) -> DetectorConfig:
-        return DetectorConfig(self.count_threshold, self.device.inactivity_options[0],
-                              self.device.vibration_seconds, 1.0 / self.counts.sample_rate_hz)
+        tick = 1.0 / self.counts.sample_rate_hz
+        return self.device.detector_configs(self.count_threshold, tick)[0]
 
 
 def run(scenario: Scenario, config: ConfigFile | None = None) -> SimulationTrace:
@@ -392,17 +404,13 @@ def run(scenario: Scenario, config: ConfigFile | None = None) -> SimulationTrace
     pipeline = CountsPipeline.from_spec(config.filter_spec, config.counts, config.filter_order)
     device = Device(config.device, config.detector)
 
-    presses = sorted(scenario.button_presses, key=lambda p: p.t)
-    next_press = 0
-
     n = sampler.n_ticks
     record = np.empty(n, dtype=list(TRACE_COLUMNS))
     motor_prev = False
     for k in range(n):
         t = k / sampler.sample_rate_hz
-        while next_press < len(presses) and presses[next_press].t <= t + 1e-9:
-            device.press_button(presses[next_press].button, t)
-            next_press += 1
+        for button in sampler.presses.get(k, ()):
+            device.press_button(button, t)
         sample = sampler.sample(k, motor_prev)
         count = pipeline.process_sample(sample)
         snap = device.tick(count.value, t)

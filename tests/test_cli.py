@@ -150,6 +150,23 @@ class TestDetect:
         assert "error: line 3: sample at t=0.01 exceeds" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["counts", "detect"])
+    def test_cr_only_line_ends_fail_at_line_1(self, command, tmp_path, capsys):
+        # as parse_samples does: line ends reach it unchanged
+        src = tmp_path / "cr.csv"
+        src.write_bytes(b"t,ax,ay,az\r0,0,0,1\r0.01,0,0,1\r")
+        assert main([command, str(src)]) == 1
+        assert "error: line 1: expected header" in capsys.readouterr().err
+
+    def test_cr_only_config_fails_at_line_1(self, sample_file, tmp_path, capsys):
+        # read as one line, it is a comment, and the defaults would run
+        config = tmp_path / "config.txt"
+        config.write_bytes(b"# mine\r[detector]\rcount_threshold = 200\r")
+        out = tmp_path / "events.csv"
+        assert main(["detect", str(sample_file), "--config", str(config), "-o", str(out)]) == 1
+        assert "line 1: line ends must be LF or CRLF" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_trace_and_events_outputs(self, tmp_path):

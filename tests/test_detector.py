@@ -134,6 +134,8 @@ class TestConfig:
             DetectorConfig(inactivity_seconds=10.005)
         with pytest.raises(ValueError, match="whole number"):
             DetectorConfig(vibration_seconds=0.0049, tick_seconds=0.01)
+        with pytest.raises(ValueError, match="whole number"):
+            DetectorConfig(inactivity_seconds=1e308)  # more ticks than a float holds
 
     def test_tick_conversion(self):
         cfg = DetectorConfig()

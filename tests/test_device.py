@@ -170,6 +170,56 @@ class TestRedLed:
         assert not red[~motor].any()
 
 
+def blue_after_select(period, rate, start, presses=2, t=None):
+    """Blue LED of the ticks from `start` on, after `presses` select presses
+    made just before tick `start` (at time `t`, by default the tick's own)."""
+    device = Device(DeviceConfig(blue_flash_period_seconds=period),
+                    DetectorConfig(tick_seconds=1.0 / rate))
+    for k in range(start):
+        device.tick(0.0, k / rate)
+    for _ in range(presses):
+        device.press_button(SELECT, start / rate if t is None else t)
+    span = round(3 * period * rate) + 5
+    return [device.tick(0.0, k / rate).blue for k in range(start, start + span)]
+
+
+class TestLedClock:
+    """The LEDs count the detector's ticks: a pattern does not depend on its start tick."""
+
+    @pytest.mark.parametrize("period,rate", [(0.25, 100.0), (0.3, 100.0), (0.07, 100.0),
+                                             (0.25, 50.0)])
+    def test_blue_pattern_is_the_same_for_every_press_tick(self, period, rate):
+        patterns = {tuple(blue_after_select(period, rate, start)) for start in range(80)}
+        assert len(patterns) == 1
+        assert rising_edges(patterns.pop()) == 3
+
+    def test_flashes_of_seven_ticks_are_on_for_four(self):
+        blue = blue_after_select(0.07, 100.0, 4)
+        assert blue == ([True] * 4 + [False] * 3) * 3 + [False] * 5
+
+    def test_half_tick_period(self):
+        # 0.25 s at 50 Hz is 12.5 ticks: each flash is lit for 7 ticks
+        blue = blue_after_select(0.25, 50.0, 0)
+        assert blue[:38] == ([True] * 7 + [False] * 6 + [True] * 6 + [False] * 6
+                             + [True] * 7 + [False] * 6)
+        assert not any(blue[38:])
+
+    def test_off_grid_press_starts_at_the_next_tick(self):
+        assert blue_after_select(0.25, 100.0, 5, t=0.043) == blue_after_select(0.25, 100.0, 5)
+
+    def test_red_pattern_is_the_same_for_every_vibration_start_tick(self):
+        # a movement tick starts a 500-tick vibration 1000 quiet ticks later
+        patterns = set()
+        for start in range(1500, 1560):
+            device = Device(DeviceConfig(red_led_enabled_default=True))
+            vms = [300.0 if k == start - 1000 else 0.0 for k in range(start + 500)]
+            vibration = [device.tick(vm, k / 100.0) for k, vm in enumerate(vms)][start:]
+            assert all(snap.motor for snap in vibration)
+            patterns.add(tuple(snap.red for snap in vibration))
+        assert len(patterns) == 1
+        assert rising_edges(patterns.pop()) == 20
+
+
 class TestPower:
     def test_white_led_tracks_power(self):
         device = Device()

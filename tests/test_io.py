@@ -223,8 +223,10 @@ class TestSamplesDifferential:
         else:
             assert want[0] == 3  # the line parser names the spoilt row
 
-    def test_well_formed_file_is_read_by_numpy(self, monkeypatch):
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_well_formed_file_is_read_by_numpy(self, newline, monkeypatch):
         text = serialize_samples(random_samples(np.random.default_rng(53), 50))
+        text = text.replace("\n", newline)
 
         def refuse(*args):
             raise AssertionError("fell back to the line parser")
@@ -456,6 +458,20 @@ class TestConfigFormat:
         assert parse_config(text) == ConfigFile()
         assert serialize_config(parse_config(text)) == text
 
+    def test_crlf_reads_as_lf(self):
+        text = serialize_config(ConfigFile(count_threshold=80.0))
+        assert parse_config(text.replace("\n", "\r\n")) == ConfigFile(count_threshold=80.0)
+
+    @pytest.mark.parametrize("text", [
+        "# mine\r[detector]\rcount_threshold = 200\r",
+        "[detector]\ncount_threshold = 200\r# was 125\n",
+        "[detector]\ncount_threshold = 2\r00\r\n",
+    ])
+    def test_lone_cr_fails_on_its_line(self, text):
+        with pytest.raises(ParseError, match="line ends must be LF or CRLF") as info:
+            parse_config(text)
+        assert info.value.line == text[:text.index("\r")].count("\n") + 1
+
     def test_custom_round_trip(self):
         custom = ConfigFile(
             low_cutoff_hz=0.25,
@@ -480,6 +496,7 @@ class TestConfigFormat:
             ("inactivity_options", "10, 30, 0.005"),
             ("inactivity_options", "0.005, 30, 60"),
             ("vibration_seconds", "0.005"),
+            ("inactivity_options", "1e308, 30, 60"),  # more ticks than a float holds
         ],
     )
     def test_device_timing_off_the_tick_grid_fails_at_the_device_line(self, key, value):

@@ -60,6 +60,26 @@ class TestScenarioValidation:
                 button_presses=(ButtonPress(10.0, "select"),),
             )
 
+    def test_button_press_must_be_reached_by_a_tick(self):
+        # the last tick of 10 s at 100 Hz is at 9.99 s
+        reached = dataclasses.replace(
+            rest_scenario(duration=10.0), button_presses=(ButtonPress(9.99, "select"),)
+        )
+        assert run(reached).option[-1] == 1
+        late = dataclasses.replace(reached, button_presses=(ButtonPress(9.995, "select"),))
+        with pytest.raises(ValueError, match=r"t=9.995 comes after the last tick, at t=9.99$"):
+            ScenarioSampler(late, 100.0)
+
+    def test_button_presses_land_on_the_next_tick_in_time_order(self):
+        # within 1e-9 s after a tick still counts as that tick
+        presses = (ButtonPress(0.0201, "select"), ButtonPress(0.013, "power"),
+                   ButtonPress(0.02 + 1e-10, "red"), ButtonPress(0.012, "select"),
+                   ButtonPress(0.0, "red"))
+        scenario = dataclasses.replace(rest_scenario(duration=1.0), button_presses=presses)
+        assert ScenarioSampler(scenario, 100.0).presses == {
+            0: ["red"], 2: ["select", "power", "red"], 3: ["select"],
+        }
+
     def test_unknown_button_rejected_when_built(self):
         # not first met by Device.press_button at its tick, mid-run
         with pytest.raises(ValueError, match="button must be one of select, red, power"):

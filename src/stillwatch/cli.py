@@ -16,8 +16,11 @@ stderr, with a line number where the input is to blame).
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import io as formats
 from .counts import CountsPipeline, RawSample
@@ -48,40 +51,41 @@ def _load_config(path: str | None) -> formats.ConfigFile:
     return formats.parse_config(_read_text(path))
 
 
-def _counted(pipeline: CountsPipeline, samples: list[RawSample]):
-    """Yield (sample, count) as the pipeline takes each sample in turn.
-
-    A sample the pipeline refuses, such as one beyond the filters' input
-    limit, raises ParseError on its line: data row i is line i + 2, as
-    `parse_samples` accepts no blank lines.
-    """
-    for i, sample in enumerate(samples):
-        try:
-            count = pipeline.process_sample(sample)
-        except ValueError as exc:
-            raise formats.ParseError(str(exc), i + 2) from None
-        yield sample, count
+def _count_file(path: str, config: formats.ConfigFile):
+    """Parse a sample file and count it as one block: (t, vm, epoch sums). A
+    refused block is counted again row by row to raise ParseError on the first
+    refused line, data row i being line i + 2 (`parse_samples` takes no blank lines)."""
+    samples = formats.parse_samples(_read_text(path), config.counts.sample_rate_hz)
+    n = len(samples)
+    block = np.fromiter(itertools.chain.from_iterable(samples), float, 4 * n).reshape(n, 4)
+    del samples  # the block holds every value; counting need not hold both
+    pipeline = CountsPipeline.from_spec(config.filter_spec, config.counts, config.filter_order)
+    try:
+        vm, sums = pipeline.process_block(block)
+    except ValueError:  # which left the pipeline untouched: find the line row by row
+        for i, row in enumerate(block.tolist()):
+            try:
+                pipeline.process_sample(RawSample(*row))
+            except ValueError as exc:
+                raise formats.ParseError(str(exc), i + 2) from None
+        raise
+    return block[:, 0], vm, sums
 
 
 def _cmd_counts(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    samples = formats.parse_samples(_read_text(args.samples), config.counts.sample_rate_hz)
-    pipeline = CountsPipeline.from_spec(config.filter_spec, config.counts, config.filter_order)
-    rows = []
-    for sample, count in _counted(pipeline, samples):
-        rows.append((sample.t, count.value, *pipeline.epoch_sums))
+    t, vm, sums = _count_file(args.samples, _load_config(args.config))
+    rows = zip(t.tolist(), vm.tolist(), *sums.T.tolist())
     _write_output(formats.serialize_counts(rows), args.output)
     return 0
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    samples = formats.parse_samples(_read_text(args.samples), config.counts.sample_rate_hz)
-    pipeline = CountsPipeline.from_spec(config.filter_spec, config.counts, config.filter_order)
+    t, vm, _ = _count_file(args.samples, config)
     detector = InactivityDetector(config.detector)
     events = []
-    for sample, count in _counted(pipeline, samples):
-        events.extend(detector.tick(count.value, sample.t).events)
+    for tk, value in zip(t.tolist(), vm.tolist()):
+        events.extend(detector.tick(value, tk).events)
     _write_output(formats.serialize_events(events), args.output)
     return 0
 

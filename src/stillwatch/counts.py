@@ -34,6 +34,8 @@ from dataclasses import dataclass, fields
 from math import isfinite
 from typing import NamedTuple, Sequence
 
+import numpy as np
+
 from ._checks import require_finite
 from .filters import _STOCK_ORDER, Biquad, BiquadCoefficients, FilterSpec, design_bandpass_cascade
 
@@ -349,3 +351,58 @@ class CountsPipeline:
         self._last_t = t
         self._sums = (sx, sy, sz)
         return VmCount(t, _vm(sx, sy, sz))
+
+    def process_block(self, block) -> tuple[np.ndarray, np.ndarray]:
+        """Advance every stage by an (n, 4) array of t, ax, ay, az rows; return
+        each row's VM (n,) and epoch sums (n, 3), bit for bit `process_sample`'s.
+        All rows are checked first, the seam after the last sample included: a
+        refused block raises its first bad row's ValueError and changes nothing.
+        Both methods share the state, so a stream may switch at any row.
+
+        Each window sums two int64 limbs of the quanta by differences of
+        cumulative sums, joined by one correctly rounded add as in `AxisWindow`.
+        That is exact while a saturated sample is below 2**63 quanta (2**58
+        stock, 2**64 at a 0.001 g dead-band), a window at most 2**21 samples
+        and a block under 2**31 rows; beyond, rows run through `process_sample`.
+        """
+        block = np.asarray(block, dtype=float).reshape(len(block), 4)
+        cfg, n, w, last_t = self.config, len(block), self.config.window_samples, self._last_t
+        if n == 0:
+            return np.empty(0), np.empty((0, 3))
+        t, rate = block[:, 0], cfg.sample_rate_hz
+        step = np.diff(t, prepend=t[0] if last_t is None else last_t)  # check_sample_step's
+        ok = (step > 0) & (np.abs(step - 1.0 / rate) <= 1e-9)
+        ok[0] |= last_t is None
+        ok &= np.isfinite(block).all(axis=1) & (np.abs(block[:, 1:]) <= self._input_limit).all(1)
+        if not ok.all():  # the first bad row fails as process_sample would fail on it
+            i = int(np.argmin(ok))
+            sample = RawSample(*block[i].tolist())
+            if i or last_t is not None:
+                check_sample_step(float(t[i - 1]) if i else last_t, sample.t, rate)
+            raise ValueError(
+                f"sample at t={sample.t} exceeds {self._input_limit:.3g} g, beyond which the "
+                "filters could overflow"
+            )
+        vms, sums = np.empty(n), np.empty((n, 3))
+        if not (self._windows[0]._qmax < 2.0**63 and w <= 2**21 and n + w < 2**31):
+            for i, row in enumerate(block.tolist()):
+                vms[i] = self.process_sample(RawSample(*row)).value
+                sums[i] = self._sums
+            return vms, sums
+        for axis, (chain, window) in enumerate(zip(self._filters, self._windows)):
+            y = block[:, axis + 1].tolist()
+            for biquad in chain:
+                y = biquad._process(y)
+            mag = np.minimum(np.abs(np.fromiter(y, float, n)), cfg.saturation_g)
+            mag[mag < cfg.deadband_g] = 0.0
+            quanta = mag / cfg.scale_g_per_sec_per_count / rate * self._up
+            quanta = np.concatenate((np.roll(window._buf, -window._idx), quanta))
+            q = quanta.astype(np.int64)
+            hi, lo = np.cumsum(q >> 32), np.cumsum(q & 0xFFFFFFFF)
+            hi, lo = hi[w:] - hi[:-w], lo[w:] - lo[:-w]
+            sums[:, axis] = (hi.astype(float) * 2.0**32 + lo.astype(float)) * window._down
+            window._buf, window._idx = quanta[-w:].tolist(), 0
+            window._sum = (int(hi[-1]) << 32) + int(lo[-1])
+        sx, sy, sz = sums.T
+        self._last_t, self._sums = float(t[-1]), tuple(sums[-1].tolist())
+        return np.sqrt(sx * sx + sy * sy + sz * sz, out=vms), sums

@@ -122,6 +122,11 @@ class Device:
         period = self.config.blue_flash_period_seconds / base.tick_seconds
         snapped = round(2.0 * period) / 2.0
         self._flash_period = snapped if snapped and abs(period - snapped) <= 1e-6 else period
+        if self._flash_period < 2:  # a one-tick cycle would light two flashes as one
+            raise ValueError(
+                f"blue_flash_period_seconds={self.config.blue_flash_period_seconds} must be at "
+                f"least two {base.tick_seconds} s ticks"
+            )
         self.power = True
         self.selected_option = 0
         self.red_led_enabled = self.config.red_led_enabled_default

@@ -188,8 +188,27 @@ class Biquad:
         return y
 
     def process(self, xs: Iterable[float]) -> list[float]:
-        """Filter a whole sequence, advancing the internal state."""
-        return [self.step(x) for x in xs]
+        """Filter a whole sequence, advancing the internal state, as `step` would;
+        a non-finite value anywhere is rejected before any value is consumed."""
+        xs = list(xs)
+        for x in xs:
+            if not math.isfinite(x):
+                raise ValueError(f"filter input must be finite, got {x!r}")
+        return self._process(xs)
+
+    def _process(self, xs: list[float]) -> list[float]:
+        """`process` for finite input: `step`'s arithmetic, registers read and written once."""
+        c = self.coeffs
+        b0, b1, b2, a1, a2 = c.b0, c.b1, c.b2, c.a1, c.a2
+        s1, s2 = self._s1, self._s2
+        ys = []
+        for x in xs:
+            y = b0 * x + s1
+            s1 = b1 * x - a1 * y + s2
+            s2 = b2 * x - a2 * y
+            ys.append(y)
+        self._s1, self._s2 = s1, s2
+        return ys
 
 
 def _as_sections(

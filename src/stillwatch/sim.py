@@ -377,7 +377,7 @@ class ConfigFile:
             section = "detector"
             DetectorConfig(self.count_threshold)  # checks the threshold alone
             section = "device"
-            self.detector  # checks the durations against the tick
+            Device(self.device, self.detector)  # checks the durations and flashes against the tick
         except ValueError as exc:
             exc.section = section
             raise

@@ -1,8 +1,12 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stillwatch
 from stillwatch import (
     CountsPipeline,
     InactivityDetector,
@@ -17,6 +21,7 @@ from stillwatch.io import (
     parse_counts,
     parse_events,
     parse_samples,
+    serialize_counts,
     serialize_samples,
     serialize_scenario,
 )
@@ -166,6 +171,53 @@ class TestDetect:
         assert main(["detect", str(sample_file), "--config", str(config), "-o", str(out)]) == 1
         assert "line 1: line ends must be LF or CRLF" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestBlockCounting:
+    """`counts` and `detect` count the whole file as one block."""
+
+    @pytest.fixture
+    def late_refusal_file(self, tmp_path):
+        """5,000 rows that parse cleanly; the one on line 4000 is beyond the
+        filters' input limit."""
+        xyz = np.random.default_rng(62).normal(0.0, 1.0, (5000, 3))
+        xyz[3998, 1] = 1e306
+        path = tmp_path / "late.csv"
+        path.write_text(serialize_samples(make_samples(xyz)), newline="\n")
+        return path
+
+    @pytest.mark.parametrize("command", ["counts", "detect"])
+    def test_late_refused_sample_carries_its_line(self, command, late_refusal_file, tmp_path,
+                                                  capsys):
+        out = tmp_path / "out.csv"
+        assert main([command, str(late_refusal_file), "-o", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: line 4000: sample at t=39.98 exceeds")
+        assert not out.exists()
+
+    def test_counts_equal_the_streaming_rows(self, sample_file, tmp_path):
+        out = tmp_path / "counts.csv"
+        assert main(["counts", str(sample_file), "-o", str(out)]) == 0
+        pipeline = CountsPipeline.from_spec()
+        rows = [(s.t, pipeline.process_sample(s).value, *pipeline.epoch_sums)
+                for s in parse_samples(sample_file.read_text())]
+        assert out.read_text() == serialize_counts(rows)
+
+    def test_commands_do_not_import_scipy(self, sample_file, tmp_path):
+        # README promises numpy as the only runtime dependency; scipy's import
+        # alone would cost every command over a second.
+        script = (
+            "import sys\n"
+            "from stillwatch.cli import main\n"
+            "samples, out = sys.argv[1:]\n"
+            "assert main(['counts', samples, '-o', out]) == 0\n"
+            "assert main(['detect', samples, '-o', out]) == 0\n"
+            "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(stillwatch.__file__).parent.parent)}
+        done = subprocess.run([sys.executable, "-c", script, str(sample_file),
+                               str(tmp_path / "out.csv")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
 
 class TestSimulate:

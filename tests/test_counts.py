@@ -474,6 +474,126 @@ class TestHotPathDifferential:
             assert [s.hex() for s in pipeline.epoch_sums] == [s.hex() for s in ref_sums]
 
 
+def bits(values) -> bytes:
+    return np.ascontiguousarray(values, dtype=float).tobytes()
+
+
+def stream_block(pipeline: CountsPipeline, block: np.ndarray):
+    """`process_sample` over the rows of a block: (vm, epoch sums) arrays."""
+    vms, sums = [], []
+    for row in block.tolist():
+        vms.append(pipeline.process_sample(RawSample(*row)).value)
+        sums.append(pipeline.epoch_sums)
+    return np.array(vms), np.array(sums).reshape(-1, 3)
+
+
+# Stock; a 2 s epoch (a window of 200); and a dead-band of 0.001 g, whose
+# saturated sample is 2**64 quanta, past the two int64 limbs' range.
+BLOCK_CONFIGS = [CountsConfig(), CountsConfig(epoch_seconds=2.0), CountsConfig(deadband_g=0.001)]
+
+
+@st.composite
+def block_cases(draw):
+    """A filter order, a config, a noisy 3-axis block, and split points each
+    followed by the method that counts the rows up to the next one."""
+    order = draw(st.sampled_from([2, 4, 6]))
+    cfg = draw(st.sampled_from(BLOCK_CONFIGS))
+    sigma = draw(st.sampled_from([0.03, 0.3, 3.0]))  # 3 g noise often saturates
+    n = draw(st.integers(1, 700))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xyz = rng.normal(0.0, sigma, (n, 3)) + [0.0, 0.0, 1.0]
+    block = np.column_stack([np.arange(n) / cfg.sample_rate_hz, xyz])
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=6)))
+    methods = draw(st.lists(st.booleans(), min_size=len(cuts) + 1, max_size=len(cuts) + 1))
+    return order, cfg, block, cuts, methods
+
+
+class TestBlockDifferential:
+    @settings(max_examples=150, deadline=None)
+    @given(block_cases())
+    def test_process_block_matches_process_sample_bit_for_bit(self, case):
+        order, cfg, block, cuts, methods = case
+        reference = CountsPipeline.from_spec(config=cfg, order=order)
+        want_vm, want_sums = stream_block(reference, block)
+        pipeline = CountsPipeline.from_spec(config=cfg, order=order)
+        got_vm, got_sums = [], []
+        for start, stop, as_block in zip([0] + cuts, cuts + [len(block)], methods):
+            event("block" if as_block else "sample")
+            count = pipeline.process_block if as_block else lambda b: stream_block(pipeline, b)
+            vms, sums = count(block[start:stop])
+            assert vms.shape == (stop - start,) and sums.shape == (stop - start, 3)
+            if stop > start:
+                assert pipeline.epoch_sums == tuple(sums[-1])
+            got_vm.append(vms)
+            got_sums.append(sums)
+        assert bits(np.concatenate(got_vm)) == bits(want_vm)
+        assert bits(np.concatenate(got_sums)) == bits(want_sums)
+        assert pipeline.epoch_sums == reference.epoch_sums
+        for window, ref in zip(pipeline._windows, reference._windows):
+            assert window._sum == ref._sum
+
+    def test_empty_block_changes_nothing(self):
+        pipeline = CountsPipeline.from_spec()
+        pipeline.process_block(np.array([[0.0, 0.5, 0.5, 1.0]]))
+        vms, sums = pipeline.process_block(np.empty((0, 4)))
+        assert vms.shape == (0,) and sums.shape == (0, 3)
+        assert pipeline.process_block([[0.01, 0.5, 0.5, 1.0]])[0].shape == (1,)
+
+    @pytest.mark.parametrize("shape", [(5, 3), (5, 5), (8,)])
+    def test_block_of_the_wrong_shape_is_refused(self, shape):
+        with pytest.raises(ValueError):
+            CountsPipeline.from_spec().process_block(np.zeros(shape))
+
+
+class TestBlockRefusal:
+    """A refused block raises process_sample's error for its first bad row and
+    leaves the pipeline as an untouched twin."""
+
+    @staticmethod
+    def primed():
+        pipeline = CountsPipeline.from_spec()
+        rng = np.random.default_rng(3)
+        pipeline.process_block(np.column_stack([np.arange(150) / 100.0,
+                                                rng.normal(0.0, 1.0, (150, 3))]))
+        return pipeline
+
+    @pytest.mark.parametrize("row", [0, 40, 79])
+    @pytest.mark.parametrize("bad", ["nan", "inf t", "off grid", "over limit"])
+    def test_bad_row_is_refused_without_a_state_change(self, bad, row):
+        rng = np.random.default_rng(4)
+        block = np.column_stack([(150 + np.arange(80)) / 100.0, rng.normal(0.0, 1.0, (80, 3))])
+        if bad == "nan":
+            block[row, 2] = float("nan")
+        elif bad == "inf t":
+            block[row, 0] = float("inf")
+        elif bad == "off grid":
+            block[row:, 0] += 0.0005
+        else:
+            block[row, 3] = -1e306
+        pipeline, twin, streamed = self.primed(), self.primed(), self.primed()
+        with pytest.raises(ValueError) as refused:
+            pipeline.process_block(block)
+        with pytest.raises(ValueError) as streaming:
+            stream_block(streamed, block)
+        assert str(refused.value) == str(streaming.value)
+        self.assert_same_next_output(pipeline, twin)
+
+    def test_off_grid_seam_is_refused_without_a_state_change(self):
+        block = np.column_stack([1.505 + np.arange(10) / 100.0, np.zeros((10, 3))])
+        pipeline, twin = self.primed(), self.primed()
+        with pytest.raises(ValueError, match="^sample at t=1.505 is not one 100.0 Hz step "
+                                             "after t=1.49$"):
+            pipeline.process_block(block)
+        self.assert_same_next_output(pipeline, twin)
+
+    @staticmethod
+    def assert_same_next_output(pipeline, twin):
+        block = np.column_stack([(150 + np.arange(120)) / 100.0, np.full((120, 3), 0.9)])
+        got, want = pipeline.process_block(block), twin.process_block(block)
+        assert bits(got[0]) == bits(want[0]) and bits(got[1]) == bits(want[1])
+        assert pipeline.epoch_sums == twin.epoch_sums
+
+
 class TestVmCountRecord:
     def test_fields_are_read_only(self):
         count = VmCount(0.5, 12.0)

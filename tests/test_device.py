@@ -204,6 +204,17 @@ class TestLedClock:
                              + [True] * 7 + [False] * 6)
         assert not any(blue[38:])
 
+    @pytest.mark.parametrize("period", [0.013, 0.001])
+    def test_flash_period_under_two_ticks_is_refused(self, period):
+        # A one-tick cycle would light option 1's two flashes as one lit tick.
+        with pytest.raises(ValueError, match=f"^blue_flash_period_seconds={period} must be at "
+                                             "least two 0.01 s ticks$"):
+            Device(DeviceConfig(blue_flash_period_seconds=period))
+
+    def test_flash_period_of_two_ticks_flashes_on_one_tick_each(self):
+        assert blue_after_select(0.02, 100.0, 3, presses=1) == [True, False] * 2 + [False] * 7
+        assert blue_after_select(0.02, 100.0, 3) == [True, False] * 3 + [False] * 5
+
     def test_off_grid_press_starts_at_the_next_tick(self):
         assert blue_after_select(0.25, 100.0, 5, t=0.043) == blue_after_select(0.25, 100.0, 5)
 

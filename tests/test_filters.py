@@ -178,5 +178,23 @@ class TestStreaming:
             biquad.step(bad)
         assert biquad.state == before
 
+    def test_process_is_step_bit_for_bit(self, coeffs):
+        xs = np.random.default_rng(15).normal(0, 2, 3000).tolist()
+        stepped = Biquad(coeffs)
+        assert Biquad(coeffs).process(xs) == [stepped.step(x) for x in xs]
+
+    @pytest.mark.parametrize("at", [0, 5, 9])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_process_rejects_nonfinite_input_before_consuming_any(self, coeffs, bad, at):
+        biquad, twin = Biquad(coeffs), Biquad(coeffs)
+        biquad.process([0.5, -0.25, 1.0])
+        twin.process([0.5, -0.25, 1.0])
+        xs = [0.1] * 10
+        xs[at] = bad
+        with pytest.raises(ValueError, match="filter input must be finite"):
+            biquad.process(xs)
+        assert biquad.state == twin.state
+        assert biquad.process([0.3, 0.7]) == twin.process([0.3, 0.7])
+
     def test_state_starts_at_zero(self, coeffs):
         assert Biquad(coeffs).state == (0.0, 0.0)

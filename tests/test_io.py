@@ -397,7 +397,8 @@ MOVED_KEYS = {
 
 @st.composite
 def config_files(draw):
-    """Valid ConfigFiles: cutoffs below Nyquist, durations on the tick grid."""
+    """Valid ConfigFiles: cutoffs below Nyquist, durations on the tick grid,
+    a flash period of two ticks or more."""
     fs = draw(st.sampled_from([25.0, 50.0, 100.0, 200.0]))
     tick = 1.0 / fs
     ticks = st.integers(1, 100_000).map(lambda k: k * tick)
@@ -416,7 +417,7 @@ def config_files(draw):
         count_threshold=draw(st.floats(1e-3, 1e4)),
         device=DeviceConfig(
             (draw(ticks), draw(ticks), draw(ticks)), draw(ticks),
-            draw(st.booleans()), draw(st.floats(1e-3, 10.0)),
+            draw(st.booleans()), draw(st.floats(2 * tick, 10.0)),
         ),
     )
 
@@ -505,6 +506,15 @@ class TestConfigFormat:
         assert info.value.line == 4
         # named by the config key, not by the detector field it sets
         assert f"{key}=" in str(info.value) and "inactivity_seconds" not in str(info.value)
+
+    def test_flash_period_under_two_ticks_fails_at_the_device_line(self):
+        # 0.03 s is three ticks at 100 Hz and one and a half at 50 Hz
+        assert parse_config("[device]\nblue_flash_period_seconds = 0.03\n")
+        with pytest.raises(ParseError, match="blue_flash_period_seconds=0.03 must be at least "
+                                             "two 0.02 s ticks") as info:
+            parse_config("[counts]\nsample_rate_hz = 50\n\n[device]\n"
+                         "blue_flash_period_seconds = 0.03\n")
+        assert info.value.line == 4
 
     @pytest.mark.parametrize(
         "text,line",

@@ -16,11 +16,8 @@ stderr, with a line number where the input is to blame).
 from __future__ import annotations
 
 import argparse
-import itertools
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import io as formats
 from .counts import CountsPipeline, RawSample
@@ -55,10 +52,7 @@ def _count_file(path: str, config: formats.ConfigFile):
     """Parse a sample file and count it as one block: (t, vm, epoch sums). A
     refused block is counted again row by row to raise ParseError on the first
     refused line, data row i being line i + 2 (`parse_samples` takes no blank lines)."""
-    samples = formats.parse_samples(_read_text(path), config.counts.sample_rate_hz)
-    n = len(samples)
-    block = np.fromiter(itertools.chain.from_iterable(samples), float, 4 * n).reshape(n, 4)
-    del samples  # the block holds every value; counting need not hold both
+    block = formats.parse_samples(_read_text(path), config.counts.sample_rate_hz)
     pipeline = CountsPipeline.from_spec(config.filter_spec, config.counts, config.filter_order)
     try:
         vm, sums = pipeline.process_block(block)

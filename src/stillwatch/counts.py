@@ -37,7 +37,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from ._checks import require_finite
-from .filters import _STOCK_ORDER, Biquad, BiquadCoefficients, FilterSpec, design_bandpass_cascade
+from .filters import (_STOCK_ORDER, Biquad, BiquadCoefficients, FilterSpec, _as_sections,
+                      design_bandpass_cascade)
 
 __all__ = [
     "RawSample",
@@ -275,11 +276,7 @@ class CountsPipeline:
         config: CountsConfig | None = None,
     ):
         self.config = config or CountsConfig()
-        if isinstance(sections, BiquadCoefficients):
-            sections = (sections,)
-        self.sections: tuple[BiquadCoefficients, ...] = tuple(sections)
-        if not self.sections:
-            raise ValueError("at least one filter section is required")
+        self.sections: tuple[BiquadCoefficients, ...] = _as_sections(sections)
         self._filters = [[Biquad(c) for c in self.sections] for _ in range(3)]
         self._windows = [AxisWindow(self.config) for _ in range(3)]
         self._input_limit = _input_limit(self.sections)

@@ -157,11 +157,3 @@ class InactivityDetector:
         ticks = self.tick_index - 1 - self.last_reset_tick
         seconds = ticks * cfg.tick_seconds if ticks > 0 else 0.0
         return cfg.inactivity_seconds if cfg.inactivity_seconds < seconds else seconds
-
-    @property
-    def vibration_elapsed_seconds(self) -> float:
-        """Time spent in the current vibration as of the last processed tick."""
-        if not self.vibrating:
-            return 0.0
-        ticks = max(0, self.tick_index - 1 - self.vibration_start_tick)
-        return min(ticks * self.cfg.tick_seconds, self.cfg.vibration_seconds)

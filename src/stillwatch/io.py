@@ -18,23 +18,23 @@ one column per array field of SimulationTrace.
 
 Parsers are strict: the first problem raises ParseError carrying the line
 number, and nothing is returned. Serializers emit canonical text, so
-serialize(parse(text)) reproduces canonical input byte for byte.
+serialize(parse(text)) reproduces canonical input byte for byte for every
+format that is read back; counts, trace and snapshots are only written.
 
-Raw samples, the one format read at length, are parsed in two stages. numpy
-reads the body into an array, whose values and timestamp grid are checked
-as arrays; each row then becomes a `RawSample`, which checks its own fields
-when built (see stillwatch.counts). A file that fails any of that is parsed
-again line by line, and that parser alone decides: it accepts what float()
-reads, which includes every token numpy does, or names the first bad line.
-The wide trace is written one %-formatted row at a time.
+Raw samples, the one format read at length, are parsed in two stages into
+one float64 array of t, ax, ay, az rows. numpy reads the body, and the
+array's values and timestamp grid are checked as arrays. A file that fails
+any of that is parsed again line by line, and that parser alone decides: it
+accepts what float() reads, which includes every token numpy does, or names
+the first bad line. The wide trace is written one %-formatted row at a time.
 
 Formats:
   samples        t,ax,ay,az                     raw accelerometer stream
-  counts         t,vm,sx,sy,sz                  VM counts and epoch sums
+  counts         t,vm,sx,sy,sz                  VM counts and epoch sums (written only)
   events         t,event                        detector event trace
-  trace          t,ax,..,vm,..,timer,motor,...  wide simulation trace
+  trace          t,ax,..,vm,..,timer,motor,...  wide simulation trace (written only)
   device log     t,kind,arg                     timed device input
-  snapshots      t,motor,white,blue,red,option,timer
+  snapshots      t,motor,white,blue,red,option,timer  (written only)
   scenario       [scenario] [segment]... [motor_feedback] [button]...
   config         [filter] [counts] [detector] [device]
 """
@@ -50,7 +50,7 @@ from typing import Callable, Iterable, Literal, Sequence
 
 import numpy as np
 
-from .counts import CountsConfig, RawSample, check_sample_step
+from .counts import CountsConfig, check_sample_step
 from .detector import DetectorEvent, EventKind
 from .device import Button, DeviceSnapshot
 from .sim import (
@@ -72,15 +72,12 @@ __all__ = [
     "ConfigFile",
     "parse_samples",
     "serialize_samples",
-    "parse_counts",
     "serialize_counts",
     "parse_events",
     "serialize_events",
-    "parse_trace",
     "serialize_trace",
     "parse_device_log",
     "serialize_device_log",
-    "parse_snapshots",
     "serialize_snapshots",
     "parse_scenario",
     "serialize_scenario",
@@ -150,25 +147,10 @@ def _parse_bool(token: str, line: int, what: str) -> bool:
     raise ParseError(f"{what}: expected true or false, got {token!r}", line)
 
 
-def _parse_bool01(token: str, line: int, what: str) -> bool:
-    if token == "1":
-        return True
-    if token == "0":
-        return False
-    raise ParseError(f"{what}: expected 0 or 1, got {token!r}", line)
-
-
 def _parse_choice(choices: tuple[str, ...], token: str, line: int, what: str) -> str:
     if token not in choices:
         raise ParseError(f"{what} must be one of {', '.join(choices)}, got {token!r}", line)
     return token
-
-
-def _parse_option(token: str, line: int, what: str) -> int:
-    option = _parse_int(token, line, what)
-    if not 0 <= option <= 2:
-        raise ParseError(f"{what} must be 0..2, got {option}", line)
-    return option
 
 
 def _csv_rows(text: str, header: str) -> list[tuple[int, list[str]]]:
@@ -197,8 +179,6 @@ def _csv_rows(text: str, header: str) -> list[tuple[int, list[str]]]:
 _Codec = tuple[Callable, Callable]
 _SHORTEST: _Codec = (_parse_float, _float_str)  # raw input: reparses exactly
 _G9: _Codec = (_parse_float, _g9)  # derived output
-_FLAG: _Codec = (_parse_bool01, _bool01)
-_OPTION: _Codec = (_parse_option, str)
 
 
 def _parse_rows(text: str, header: str, columns: Sequence[_Codec]) -> list[list]:
@@ -215,9 +195,8 @@ def _parse_rows(text: str, header: str, columns: Sequence[_Codec]) -> list[list]
 _BLOCK_ROWS = 1024
 
 
-def _format_rows(header: str, columns: Sequence[_Codec], rows: Iterable[Sequence]) -> str:
-    """The CSV text of the header and rows, each value written by its column."""
-    formats = [fmt for _, fmt in columns]
+def _format_rows(header: str, formats: Sequence[Callable], rows: Iterable[Sequence]) -> str:
+    """The CSV text of the header and rows, each value written by its column's format."""
     parts = [header, "\n"]
     rows = iter(rows)
     while block := list(itertools.islice(rows, _BLOCK_ROWS)):
@@ -233,13 +212,13 @@ def _format_rows(header: str, columns: Sequence[_Codec], rows: Iterable[Sequence
 
 def parse_samples(
     text: str, sample_rate_hz: float = CountsConfig().sample_rate_hz
-) -> list[RawSample]:
-    """Parse a raw sample CSV, checking that each timestamp is one sample
-    period after the one before.
+) -> np.ndarray:
+    """Parse a raw sample CSV into a float64 (n, 4) array of t, ax, ay, az
+    rows, checking that each timestamp is one sample period after the one before.
 
     numpy reads the body and its values are checked as arrays; a file that
     fails any of that is parsed again line by line, which decides: it returns
-    the samples or raises on the first bad line.
+    the same array or raises on the first bad line.
     """
     lines = text.split("\n")
     if lines[-1] == "":
@@ -258,13 +237,13 @@ def parse_samples(
         if values is not None and values.shape == (len(body), 4) and np.isfinite(values).all():
             step = values[1:, 0] - values[:-1, 0]  # check_sample_step, per row
             if ((step > 0) & (np.abs(step - 1.0 / sample_rate_hz) <= 1e-9)).all():
-                return list(map(RawSample, *values.T.tolist()))
+                return values
     return _parse_sample_lines(text, sample_rate_hz)
 
 
-def _parse_sample_lines(text: str, sample_rate_hz: float) -> list[RawSample]:
+def _parse_sample_lines(text: str, sample_rate_hz: float) -> np.ndarray:
     """`parse_samples` one line at a time; the first problem raises on its line."""
-    samples: list[RawSample] = []
+    rows: list[tuple[float, float, float, float]] = []
     prev_t: float | None = None
     for i, fields in _csv_rows(text, SAMPLES_HEADER):
         t = _parse_float(fields[0], i, "t")
@@ -277,13 +256,13 @@ def _parse_sample_lines(text: str, sample_rate_hz: float) -> list[RawSample]:
             except ValueError as e:
                 raise ParseError(str(e), i) from None
         prev_t = t
-        samples.append(RawSample(t, ax, ay, az))
-    return samples
+        rows.append((t, ax, ay, az))
+    return np.array(rows, dtype=float).reshape(-1, 4)
 
 
-def serialize_samples(samples: Iterable[RawSample]) -> str:
-    rows = ((s.t, s.ax, s.ay, s.az) for s in samples)
-    return _format_rows(SAMPLES_HEADER, (_SHORTEST,) * 4, rows)
+def serialize_samples(samples: Iterable[Sequence[float]]) -> str:
+    """Write rows of t, ax, ay, az: `RawSample`s or the rows of a parsed array."""
+    return _format_rows(SAMPLES_HEADER, (_float_str,) * 4, samples)
 
 
 # --------------------------------------------------------------------------
@@ -292,12 +271,8 @@ def serialize_samples(samples: Iterable[RawSample]) -> str:
 _EVENT_COLUMNS = (_G9, (functools.partial(_parse_choice, typing.get_args(EventKind)), str))
 
 
-def parse_counts(text: str) -> list[tuple[float, float, float, float, float]]:
-    return [tuple(row) for row in _parse_rows(text, COUNTS_HEADER, (_G9,) * 5)]
-
-
 def serialize_counts(rows: Iterable[Sequence[float]]) -> str:
-    return _format_rows(COUNTS_HEADER, (_G9,) * 5, rows)
+    return _format_rows(COUNTS_HEADER, (_g9,) * 5, rows)
 
 
 def parse_events(text: str) -> list[DetectorEvent]:
@@ -305,20 +280,16 @@ def parse_events(text: str) -> list[DetectorEvent]:
 
 
 def serialize_events(events: Iterable[DetectorEvent]) -> str:
-    return _format_rows(EVENTS_HEADER, _EVENT_COLUMNS, ((e.t, e.kind) for e in events))
+    formats = [fmt for _, fmt in _EVENT_COLUMNS]
+    return _format_rows(EVENTS_HEADER, formats, ((e.t, e.kind) for e in events))
 
 
 # --------------------------------------------------------------------------
 # Wide simulation traces
 
-# Codec of each trace column, by its dtype.
-_TRACE_CODECS: dict[type, _Codec] = {np.float64: _G9, np.bool_: _FLAG, np.int64: _OPTION}
-_TRACE_CSV = [_TRACE_CODECS[dtype] for _, dtype in TRACE_COLUMNS]
-
-
 # One %-format per trace row. %.9g writes a float as _g9 does, except -0.0,
 # which `+ 0.0` turns into 0.0 first; %d writes a flag as 0/1 and an option as
-# its digit, as _FLAG and _OPTION do.
+# its digit, as _bool01 and str do in the snapshot columns.
 _TRACE_ROW = ",".join("%.9g" if dtype is np.float64 else "%d" for _, dtype in TRACE_COLUMNS)
 
 
@@ -332,18 +303,6 @@ def serialize_trace(trace: SimulationTrace) -> str:
         parts.append("\n".join(map(_TRACE_ROW.__mod__, zip(*columns))))
         parts.append("\n")
     return "".join(parts)
-
-
-def parse_trace(text: str) -> SimulationTrace:
-    """Parse a wide trace CSV. The trace format carries no event list."""
-    rows = _parse_rows(text, TRACE_HEADER, _TRACE_CSV)
-    columns = list(zip(*rows)) or [()] * len(TRACE_COLUMNS)
-    return SimulationTrace(
-        **{
-            name: np.asarray(column, dtype=dtype)
-            for (name, dtype), column in zip(TRACE_COLUMNS, columns)
-        }
-    )
 
 
 # --------------------------------------------------------------------------
@@ -375,16 +334,10 @@ def serialize_device_log(records: Iterable[tuple[float, str, float | str]]) -> s
     return "\n".join(lines) + "\n"
 
 
-_SNAPSHOT_COLUMNS = (_G9, _FLAG, _FLAG, _FLAG, _FLAG, _OPTION, _G9)
-
-
-def parse_snapshots(text: str) -> list[DeviceSnapshot]:
-    return [DeviceSnapshot(*row) for row in _parse_rows(text, SNAPSHOTS_HEADER, _SNAPSHOT_COLUMNS)]
-
-
 def serialize_snapshots(snapshots: Iterable[DeviceSnapshot]) -> str:
-    # A snapshot is a tuple in column order.
-    return _format_rows(SNAPSHOTS_HEADER, _SNAPSHOT_COLUMNS, snapshots)
+    # A snapshot is a tuple in column order; flags are written as 0/1.
+    formats = (_g9, _bool01, _bool01, _bool01, _bool01, str, _g9)
+    return _format_rows(SNAPSHOTS_HEADER, formats, snapshots)
 
 
 # --------------------------------------------------------------------------

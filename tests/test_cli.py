@@ -18,7 +18,6 @@ from stillwatch import (
 from stillwatch.cli import main
 from stillwatch.io import (
     parse_config,
-    parse_counts,
     parse_events,
     parse_samples,
     serialize_counts,
@@ -29,6 +28,15 @@ from stillwatch.io import (
 from conftest import make_samples
 
 GOLDEN_EVENTS = Path(__file__).parent / "data" / "figure3_events.csv"
+
+
+def read_counts(path: Path) -> np.ndarray:
+    """The rows of a counts CSV, t, vm, sx, sy, sz, as an (n, 5) array."""
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+
+def read_samples(path: Path) -> list[RawSample]:
+    return [RawSample(*row) for row in parse_samples(path.read_text()).tolist()]
 
 
 @pytest.fixture
@@ -88,10 +96,9 @@ class TestCounts:
     def test_counts_to_file(self, sample_file, tmp_path):
         out = tmp_path / "counts.csv"
         assert main(["counts", str(sample_file), "-o", str(out)]) == 0
-        rows = parse_counts(out.read_text())
-        assert len(rows) == 2000
-        vm_peak = max(r[1] for r in rows)
-        assert vm_peak > 125.0
+        rows = read_counts(out)
+        assert rows.shape == (2000, 5)
+        assert rows[:, 1].max() > 125.0
 
     def test_missing_file_exits_1(self, capsys):
         assert main(["counts", "no-such-file.csv"]) == 1
@@ -123,7 +130,7 @@ class TestDetect:
         assert main(["detect", str(sample_file), "-o", str(out)]) == 0
         events_cli = parse_events(out.read_text())
 
-        samples = parse_samples(sample_file.read_text())
+        samples = read_samples(sample_file)
         pipeline = CountsPipeline.from_spec()
         detector = InactivityDetector()
         events_lib = []
@@ -142,7 +149,7 @@ class TestDetect:
         starts = [e.t for e in events if e.kind == "vib_start"]
         # the timer reference is the last super-threshold tick, not the
         # onset event; recover it from the counts
-        samples = parse_samples(sample_file.read_text())
+        samples = read_samples(sample_file)
         pipeline = CountsPipeline.from_spec()
         last_above = max(
             s.t for s in samples if pipeline.process_sample(s).value > 125.0
@@ -194,12 +201,21 @@ class TestBlockCounting:
         assert capsys.readouterr().err.startswith("error: line 4000: sample at t=39.98 exceeds")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["counts", "detect"])
+    def test_a_valid_file_builds_no_raw_sample(self, command, sample_file, tmp_path,
+                                               monkeypatch):
+        def refuse(cls, *args):
+            raise AssertionError("built a RawSample")
+
+        monkeypatch.setattr(RawSample, "__new__", refuse)
+        assert main([command, str(sample_file), "-o", str(tmp_path / "out.csv")]) == 0
+
     def test_counts_equal_the_streaming_rows(self, sample_file, tmp_path):
         out = tmp_path / "counts.csv"
         assert main(["counts", str(sample_file), "-o", str(out)]) == 0
         pipeline = CountsPipeline.from_spec()
         rows = [(s.t, pipeline.process_sample(s).value, *pipeline.epoch_sums)
-                for s in parse_samples(sample_file.read_text())]
+                for s in read_samples(sample_file)]
         assert out.read_text() == serialize_counts(rows)
 
     def test_commands_do_not_import_scipy(self, sample_file, tmp_path):
@@ -253,7 +269,7 @@ class TestSimulate:
         assert main(["counts", str(src), "-o", str(counts_out)]) == 0
         assert main(["detect", str(src), "-o", str(events_out)]) == 0
         assert parse_events(events_out.read_text()) == list(trace.events)
-        vm_cli = np.array([row[1] for row in parse_counts(counts_out.read_text())])
+        vm_cli = read_counts(counts_out)[:, 1]
         # counts CSV carries 9 significant digits
         assert np.allclose(vm_cli, trace.vm, rtol=1e-8, atol=1e-8)
 

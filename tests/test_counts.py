@@ -376,6 +376,11 @@ class TestPipeline:
         with pytest.raises(ValueError):
             RawSample(0.0, float("nan"), 0.0, 1.0)
 
+    @pytest.mark.parametrize("sections", [[], [1.0], ("a",)], ids=["empty", "float", "str"])
+    def test_sections_that_are_not_biquads_rejected(self, sections):
+        with pytest.raises(ValueError, match="non-empty sequence"):
+            CountsPipeline(sections)
+
     def test_mismatched_rates_rejected(self, counts_cfg):
         from stillwatch import FilterSpec
 

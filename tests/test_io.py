@@ -24,25 +24,21 @@ from stillwatch import (
     Scenario,
     SineMovement,
     canonical_scenario,
-    replay_event_log,
     run,
 )
 from stillwatch.io import (
     TRACE_HEADER,
-    _TRACE_CSV,
     ConfigFile,
     ParseError,
+    _bool01,
     _format_rows,
     _g9,
     _parse_sample_lines,
     parse_config,
-    parse_counts,
     parse_device_log,
     parse_events,
     parse_samples,
     parse_scenario,
-    parse_snapshots,
-    parse_trace,
     serialize_config,
     serialize_counts,
     serialize_device_log,
@@ -52,6 +48,7 @@ from stillwatch.io import (
     serialize_snapshots,
     serialize_trace,
 )
+from stillwatch.sim import TRACE_COLUMNS
 
 
 def random_samples(rng, n):
@@ -110,18 +107,22 @@ def random_scenario(rng):
 
 class TestSamples:
     def test_header_only_is_empty(self):
-        assert parse_samples("t,ax,ay,az\n") == []
+        text = "t,ax,ay,az\n"
+        values = parse_samples(text)
+        assert values.shape == (0, 4) and values.dtype == np.float64
+        assert serialize_samples(values) == text
 
     def test_two_line_example(self):
-        samples = parse_samples("t,ax,ay,az\n0.00,0,0,1\n0.01,0,0,1\n")
-        assert samples == [RawSample(0.0, 0.0, 0.0, 1.0), RawSample(0.01, 0.0, 0.0, 1.0)]
+        values = parse_samples("t,ax,ay,az\n0.00,0,0,1\n0.01,0,0,1\n")
+        assert values.dtype == np.float64
+        assert values.tolist() == [[0.0, 0.0, 0.0, 1.0], [0.01, 0.0, 0.0, 1.0]]
 
     def test_round_trip(self):
         rng = np.random.default_rng(51)
         for _ in range(50):
             samples = random_samples(rng, int(rng.integers(0, 40)))
             text = serialize_samples(samples)
-            assert parse_samples(text) == samples
+            assert parse_samples(text).tolist() == [list(s) for s in samples]
             assert serialize_samples(parse_samples(text)) == text
 
     @pytest.mark.parametrize(
@@ -187,11 +188,13 @@ def sample_files(draw):
 
 
 def parse_outcome(parse, text):
-    """The samples, bit for bit, or the error's line and message."""
+    """The array's dtype, shape and bytes (so -0.0 keeps its sign), or the
+    error's line and message."""
     try:
-        return [tuple(value.hex() for value in sample) for sample in parse(text, 100.0)]
+        values = parse(text, 100.0)
     except ParseError as exc:
         return exc.line, exc.message
+    return values.dtype.str, values.shape, values.tobytes()
 
 
 class TestSamplesDifferential:
@@ -219,7 +222,7 @@ class TestSamplesDifferential:
         want = parse_outcome(_parse_sample_lines, text)
         assert parse_outcome(parse_samples, text) == want
         if name in ("digit grouping", "arabic-indic digit", "padded", "carriage return"):
-            assert isinstance(want, list)  # float() reads the row
+            assert want[:2] == ("<f8", (2, 4))  # float() reads the row
         else:
             assert want[0] == 3  # the line parser names the spoilt row
 
@@ -236,13 +239,6 @@ class TestSamplesDifferential:
 
 
 class TestCountsRows:
-    def test_round_trip(self):
-        rng = np.random.default_rng(52)
-        rows = [tuple(rng.uniform(0, 200, 5)) for _ in range(30)]
-        text = serialize_counts(rows)
-        reparsed = parse_counts(text)
-        assert serialize_counts(reparsed) == text
-
     def test_nine_significant_digits(self):
         text = serialize_counts([(0.01, 1.2800480769230769, 0.0, 128.00480769230768, 1.0)])
         assert text.splitlines()[1] == "0.01,1.28004808,0,128.004808,1"
@@ -264,11 +260,6 @@ class TestEvents:
 
 
 class TestTrace:
-    def test_round_trip_text_identity(self):
-        trace = run(canonical_scenario(duration_seconds=12.0))
-        text = serialize_trace(trace)
-        assert serialize_trace(parse_trace(text)) == text
-
     def test_row_format_writes_what_the_column_codecs_write(self):
         trace = run(canonical_scenario(duration_seconds=12.0))
         n = len(trace)
@@ -278,8 +269,10 @@ class TestTrace:
         for flag in ("motor", "white", "blue", "red"):
             getattr(trace, flag)[:] = np.arange(n) % 2 == 1
         rows = zip(*(getattr(trace, name).tolist() for name in TRACE_HEADER.split(",")))
+        by_dtype = {np.float64: _g9, np.bool_: _bool01, np.int64: str}
+        formats = [by_dtype[dtype] for _, dtype in TRACE_COLUMNS]
         text = serialize_trace(trace)
-        assert text == _format_rows(TRACE_HEADER, _TRACE_CSV, rows)
+        assert text == _format_rows(TRACE_HEADER, formats, rows)
         assert text.splitlines()[1].startswith("0,0,")
 
     @settings(max_examples=300)
@@ -292,11 +285,6 @@ class TestTrace:
     @example(-1.7976931348623157e308)
     def test_g9_is_the_row_format_of_a_float(self, x):
         assert _g9(x) == "%.9g" % (x + 0.0)
-
-    def test_bad_flag_rejected(self):
-        header = ("t,ax,ay,az,vm,sx,sy,sz,timer,motor,white,blue,red,option")
-        with pytest.raises(ParseError, match="motor"):
-            parse_trace(header + "\n0,0,0,1,0,0,0,0,0,2,1,0,0,0\n")
 
 
 class TestDeviceLogs:
@@ -311,13 +299,19 @@ class TestDeviceLogs:
         text = serialize_device_log(records)
         assert parse_device_log(text) == records
 
-    def test_snapshot_round_trip(self):
-        device = Device(DeviceConfig(red_led_enabled_default=True))
-        records = [(k / 100.0, "sample", 0.0) for k in range(1200)]
-        snaps = replay_event_log(device, records)
-        text = serialize_snapshots(snaps)
-        reparsed = parse_snapshots(text)
-        assert serialize_snapshots(reparsed) == text
+    def test_snapshot_text(self):
+        # Flags as 0/1, the option as its digit, times to 9 digits, -0.0 as 0.
+        snaps = [
+            DeviceSnapshot(-0.0, False, True, False, True, 2, -0.0),
+            DeviceSnapshot(0.01, True, False, True, False, 0, 1 / 3),
+            DeviceSnapshot(12345.678901, False, False, False, False, 1, 10.0),
+        ]
+        assert serialize_snapshots(snaps) == (
+            "t,motor,white,blue,red,option,timer\n"
+            "0,0,1,0,1,2,0\n"
+            "0.01,1,0,1,0,0,0.333333333\n"
+            "12345.6789,0,0,0,0,1,10\n"
+        )
 
     @pytest.mark.parametrize(
         "row,fragment",

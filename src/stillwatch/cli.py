@@ -8,6 +8,10 @@ Subcommands:
   figure3        run the canonical burst-then-rest scenario and write the
                  acceleration/counts/timer series and events for plotting
 
+`counts` and `detect` read the sample file in chunks of lines and count each
+as one block, so their memory does not grow with the file; a failure names the
+file's first bad line and writes no output.
+
 All outputs are deterministic for identical inputs. Exit codes: 0 on success,
 2 for usage errors, 1 for I/O or validation failures (one-line diagnostic on
 stderr, with a line number where the input is to blame).
@@ -16,11 +20,14 @@ stderr, with a line number where the input is to blame).
 from __future__ import annotations
 
 import argparse
+import itertools
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 from . import io as formats
-from .counts import CountsPipeline, RawSample
+from .counts import CountsPipeline
 from .detector import InactivityDetector
 from .filters import FilterSpec, design_bandpass_cascade
 from .sim import canonical_scenario, run
@@ -49,37 +56,73 @@ def _load_config(path: str | None) -> formats.ConfigFile:
 
 
 def _count_file(path: str, config: formats.ConfigFile):
-    """Parse a sample file and count it as one block: (t, vm, epoch sums). A
-    refused block is counted again row by row to raise ParseError on the first
-    refused line, data row i being line i + 2 (`parse_samples` takes no blank lines)."""
-    block = formats.parse_samples(_read_text(path), config.counts.sample_rate_hz)
+    """Count a sample file in chunks of `_BLOCK_ROWS` lines, yielding each chunk's
+    (t, vm, epoch sums); memory stays that of one chunk, whatever the file's length.
+
+    Lines end at LF alone, as in `parse_samples`, which reads each chunk under
+    the file's header. A refused chunk, which left the pipeline as it was, is
+    run again one line at a time to raise ParseError on the first bad line of
+    the file; a header fault is line 1.
+    """
+    rate = config.counts.sample_rate_hz
     pipeline = CountsPipeline.from_spec(config.filter_spec, config.counts, config.filter_order)
-    try:
-        vm, sums = pipeline.process_block(block)
-    except ValueError:  # which left the pipeline untouched: find the line row by row
-        for i, row in enumerate(block.tolist()):
+    with open(path, "rb") as fh:
+        header = _decode(fh.readline(), 1)
+        first = 2  # the chunk's first line
+        while True:
+            chunk = list(itertools.islice(fh, formats._BLOCK_ROWS))
             try:
-                pipeline.process_sample(RawSample(*row))
-            except ValueError as exc:
-                raise formats.ParseError(str(exc), i + 2) from None
-        raise
-    return block[:, 0], vm, sums
+                block = formats.parse_samples(header + b"".join(chunk).decode("utf-8"), rate)
+                vm, sums = pipeline.process_block(block)
+            except ValueError:
+                for line, raw in enumerate(chunk, start=first):
+                    try:
+                        text = header + _decode(raw, line)
+                        pipeline.process_block(formats.parse_samples(text, rate))
+                    except formats.ParseError as exc:  # on line 1, the header, or on this one
+                        at = 1 if exc.line == 1 else line
+                        raise formats.ParseError(exc.message, at) from None
+                    except ValueError as exc:
+                        raise formats.ParseError(str(exc), line) from None
+                raise
+            yield block[:, 0], vm, sums
+            if len(chunk) < formats._BLOCK_ROWS:
+                return
+            first += len(chunk)
+
+
+def _decode(line: bytes, number: int) -> str:
+    """The text of a line; a byte that is not UTF-8 fails on the line's number."""
+    try:
+        return line.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise formats.ParseError(f"not valid UTF-8: {exc.reason}", number) from None
 
 
 def _cmd_counts(args: argparse.Namespace) -> int:
-    t, vm, sums = _count_file(args.samples, _load_config(args.config))
-    rows = zip(t.tolist(), vm.tolist(), *sums.T.tolist())
-    _write_output(formats.serialize_counts(rows), args.output)
+    config = _load_config(args.config)
+    # Rows go to a temporary file, so a refused line leaves no output behind.
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n") as rows:
+        rows.write(formats.serialize_counts(()))
+        for t, vm, sums in _count_file(args.samples, config):
+            text = formats.serialize_counts(zip(t.tolist(), vm.tolist(), *sums.T.tolist()))
+            rows.write(text.partition("\n")[2])  # the rows, after their header
+        rows.seek(0)
+        if args.output is None:
+            shutil.copyfileobj(rows, sys.stdout)
+        else:
+            with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
+                shutil.copyfileobj(rows, fh)
     return 0
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    t, vm, _ = _count_file(args.samples, config)
     detector = InactivityDetector(config.detector)
     events = []
-    for tk, value in zip(t.tolist(), vm.tolist()):
-        events.extend(detector.tick(value, tk).events)
+    for t, vm, _ in _count_file(args.samples, config):
+        for tk, value in zip(t.tolist(), vm.tolist()):
+            events.extend(detector.tick(value, tk).events)
     _write_output(formats.serialize_events(events), args.output)
     return 0
 

@@ -367,7 +367,8 @@ class CountsPipeline:
         if n == 0:
             return np.empty(0), np.empty((0, 3))
         t, rate = block[:, 0], cfg.sample_rate_hz
-        step = np.diff(t, prepend=t[0] if last_t is None else last_t)  # check_sample_step's
+        prev = np.concatenate(([t[0] if last_t is None else last_t], t[:-1]))
+        step = t - prev  # check_sample_step's
         ok = (step > 0) & (np.abs(step - 1.0 / rate) <= 1e-9)
         ok[0] |= last_t is None
         ok &= np.isfinite(block).all(axis=1) & (np.abs(block[:, 1:]) <= self._input_limit).all(1)
@@ -380,26 +381,31 @@ class CountsPipeline:
                 f"sample at t={sample.t} exceeds {self._input_limit:.3g} g, beyond which the "
                 "filters could overflow"
             )
-        vms, sums = np.empty(n), np.empty((n, 3))
         if not (self._windows[0]._qmax < 2.0**63 and w <= 2**21 and n + w < 2**31):
+            vms, sums = np.empty(n), np.empty((n, 3))
             for i, row in enumerate(block.tolist()):
                 vms[i] = self.process_sample(RawSample(*row)).value
                 sums[i] = self._sums
             return vms, sums
-        for axis, (chain, window) in enumerate(zip(self._filters, self._windows)):
+        mag = np.empty((n, 3))  # the filters per axis, every later stage on all three at once
+        for axis, chain in enumerate(self._filters):
             y = block[:, axis + 1].tolist()
             for biquad in chain:
                 y = biquad._process(y)
-            mag = np.minimum(np.abs(np.fromiter(y, float, n)), cfg.saturation_g)
-            mag[mag < cfg.deadband_g] = 0.0
-            quanta = mag / cfg.scale_g_per_sec_per_count / rate * self._up
-            quanta = np.concatenate((np.roll(window._buf, -window._idx), quanta))
-            q = quanta.astype(np.int64)
-            hi, lo = np.cumsum(q >> 32), np.cumsum(q & 0xFFFFFFFF)
-            hi, lo = hi[w:] - hi[:-w], lo[w:] - lo[:-w]
-            sums[:, axis] = (hi.astype(float) * 2.0**32 + lo.astype(float)) * window._down
-            window._buf, window._idx = quanta[-w:].tolist(), 0
-            window._sum = (int(hi[-1]) << 32) + int(lo[-1])
+            mag[:, axis] = y
+        np.minimum(np.abs(mag, out=mag), cfg.saturation_g, out=mag)
+        mag[mag < cfg.deadband_g] = 0.0
+        # Each window's carried quanta, oldest first, above the block's own.
+        carried = [win._buf[win._idx:] + win._buf[:win._idx] for win in self._windows]
+        quanta = np.concatenate((np.array(carried, dtype=float).T,
+                                 mag / cfg.scale_g_per_sec_per_count / rate * self._up))
+        q = quanta.astype(np.int64)
+        hi, lo = np.cumsum(q >> 32, axis=0), np.cumsum(q & 0xFFFFFFFF, axis=0)
+        hi, lo = hi[w:] - hi[:-w], lo[w:] - lo[:-w]
+        sums = (hi.astype(float) * 2.0**32 + lo.astype(float)) * self._windows[0]._down
+        for win, buf, top, bottom in zip(self._windows, quanta[-w:].T.tolist(),
+                                         hi[-1].tolist(), lo[-1].tolist()):
+            win._buf, win._idx, win._sum = buf, 0, (top << 32) + bottom
         sx, sy, sz = sums.T
         self._last_t, self._sums = float(t[-1]), tuple(sums[-1].tolist())
-        return np.sqrt(sx * sx + sy * sy + sz * sz, out=vms), sums
+        return np.sqrt(sx * sx + sy * sy + sz * sz), sums

@@ -1,10 +1,17 @@
+import contextlib
+import gc
+import io
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import stillwatch
 from stillwatch import (
@@ -15,12 +22,15 @@ from stillwatch import (
     canonical_scenario,
     run,
 )
+from stillwatch import io as formats
 from stillwatch.cli import main
 from stillwatch.io import (
+    ParseError,
     parse_config,
     parse_events,
     parse_samples,
     serialize_counts,
+    serialize_events,
     serialize_samples,
     serialize_scenario,
 )
@@ -181,7 +191,8 @@ class TestDetect:
 
 
 class TestBlockCounting:
-    """`counts` and `detect` count the whole file as one block."""
+    """`counts` and `detect` count the file in chunks of `_BLOCK_ROWS` lines, each
+    as one block; a refused chunk is counted again line by line to name its line."""
 
     @pytest.fixture
     def late_refusal_file(self, tmp_path):
@@ -210,6 +221,42 @@ class TestBlockCounting:
         monkeypatch.setattr(RawSample, "__new__", refuse)
         assert main([command, str(sample_file), "-o", str(tmp_path / "out.csv")]) == 0
 
+    def test_late_refusal_prints_nothing_to_stdout(self, late_refusal_file, capsys):
+        assert main(["counts", str(late_refusal_file)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: line 4000: sample at t=39.98 exceeds")
+
+    @pytest.mark.parametrize("command", ["counts", "detect"])
+    def test_invalid_utf8_in_the_header_is_line_1(self, command, tmp_path, capsys):
+        src = tmp_path / "bad.csv"
+        src.write_bytes(b"t,ax,ay,a\xffz\n0,0,0,1\n")
+        assert main([command, str(src)]) == 1
+        assert capsys.readouterr().err == "error: line 1: not valid UTF-8: invalid start byte\n"
+
+    @pytest.mark.parametrize("command", ["counts", "detect"])
+    def test_invalid_utf8_in_a_late_chunk_names_its_line(self, command, late_refusal_file,
+                                                         tmp_path, capsys):
+        lines = late_refusal_file.read_bytes().split(b"\n")
+        lines[3003] = lines[3003].replace(b",", b",\xc3", 1)  # line 3004, in the third chunk
+        lines[3999] = b"39.98,0,0,1"  # line 4000's refusal goes
+        src = tmp_path / "bad.csv"
+        src.write_bytes(b"\n".join(lines))
+        out = tmp_path / "out.csv"
+        assert main([command, str(src), "-o", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: line 3004: not valid UTF-8: invalid continuation byte\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["counts", "detect"])
+    def test_the_first_of_two_faults_wins(self, command, tmp_path, capsys):
+        # A refused sample on line 3 comes before a word on line 6, in one chunk.
+        src = tmp_path / "two.csv"
+        src.write_text("t,ax,ay,az\n0,0,0,1\n0.01,1e306,0,1\n0.02,0,0,1\n"
+                       "0.03,0,0,1\n0.04,oops,0,1\n")
+        assert main([command, str(src)]) == 1
+        assert capsys.readouterr().err.startswith("error: line 3: sample at t=0.01 exceeds")
+
     def test_counts_equal_the_streaming_rows(self, sample_file, tmp_path):
         out = tmp_path / "counts.csv"
         assert main(["counts", str(sample_file), "-o", str(out)]) == 0
@@ -234,6 +281,157 @@ class TestBlockCounting:
                                str(tmp_path / "out.csv")],
                               env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
+
+
+# A detector that acts within a few rows: movement above 1 count resets a
+# 0.03 s timer, whose alert lasts 0.02 s.
+FAST_DETECTOR = (b"[device]\ninactivity_options = 0.03, 30, 60\nvibration_seconds = 0.02\n"
+                 b"\n[detector]\ncount_threshold = 1\n")
+HEADER = b"t,ax,ay,az"
+FAULTS = {  # one line spoilt in each way: (t, a) -> the line's bytes
+    "nan": lambda t, a: b"%r,nan,0,1" % t,
+    "word": lambda t, a: b"%r,%r,oops,1" % (t, a),
+    "over limit": lambda t, a: b"%r,1e306,0,1" % t,
+    "off grid": lambda t, a: b"%r,%r,0,1" % (t + 0.004, a),
+    "blank": lambda t, a: b"",
+    "three fields": lambda t, a: b"%r,%r,1" % (t, a),
+    "CR inside": lambda t, a: b"%r,%r\r%r,0,1" % (t, a, a),
+    "not UTF-8": lambda t, a: b"%r,%r,0,1\xff" % (t, a),
+}
+
+
+def sample_bytes(amplitudes, faults=(), newline=b"\n", final_newline=True, header=HEADER):
+    """A sample file: rows k of t = k / 100, axes (a, -a, 1 + a), some spoilt."""
+    lines = [b"%r,%r,%r,%r" % (k / 100.0, a, -a, 1.0 + a) for k, a in enumerate(amplitudes)]
+    for k, kind in faults:
+        lines[k] = FAULTS[kind](k / 100.0, amplitudes[k])
+    text = newline.join([header, *lines])
+    return text + newline if final_newline else text
+
+
+@st.composite
+def chunked_files(draw):
+    """(file bytes, number of faults): up to 20 rows, up to two spoilt lines, either
+    line end, with or without a final newline, a blank last line or a bad header."""
+    amplitudes = draw(st.lists(st.sampled_from([0.0, 0.2, 3.0]), max_size=20))
+    faults = draw(st.lists(st.tuples(st.integers(0, max(len(amplitudes) - 1, 0)),
+                                     st.sampled_from(sorted(FAULTS))),
+                           max_size=2 if amplitudes else 0, unique_by=lambda f: f[0]))
+    header = draw(st.sampled_from([HEADER] * 4 + [b"t,ax,ay", b"t,ax,ay,a\xffz"]))
+    data = sample_bytes(amplitudes, faults, draw(st.sampled_from([b"\n", b"\r\n"])),
+                        draw(st.booleans()), header)
+    blank_last = draw(st.booleans()) and data.endswith(b"\n")
+    return data + b"\n" * blank_last, len(faults) + blank_last + (header != HEADER)
+
+
+def cli_outcome(command, src, config):
+    """(exit code, output bytes or None, stdout, stderr) of one command."""
+    out = src.with_suffix(".out")
+    out.unlink(missing_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main([command, str(src), "--config", str(config), "-o", str(out)])
+    return code, out.read_bytes() if out.exists() else None, stdout.getvalue(), stderr.getvalue()
+
+
+def whole_file_outcome(command, data, config):
+    """`cli_outcome` composed from the library on the whole file at once: the
+    file parsed as one text, then counted (and detected) row by row."""
+    try:
+        samples = parse_samples(data.decode()).tolist()
+        pipeline = CountsPipeline.from_spec(config.filter_spec, config.counts,
+                                            config.filter_order)
+        detector = InactivityDetector(config.detector)
+        rows, events = [], []
+        for line, row in enumerate(samples, start=2):
+            try:
+                count = pipeline.process_sample(RawSample(*row))
+            except ValueError as exc:
+                raise ParseError(str(exc), line) from None
+            rows.append((count.t, count.value, *pipeline.epoch_sums))
+            events.extend(detector.tick(count.value, count.t).events)
+    except ParseError as exc:
+        return 1, None, "", f"error: {exc}\n"
+    text = serialize_counts(rows) if command == "counts" else serialize_events(events)
+    return 0, text.encode(), "", ""
+
+
+class TestChunking:
+    """Any chunk length, down to one line, gives what one line at a time gives:
+    the same output bytes, or the same exit code and message."""
+
+    @pytest.fixture(scope="class")
+    def work(self, tmp_path_factory):
+        work = tmp_path_factory.mktemp("chunks")
+        (work / "fast.cfg").write_bytes(FAST_DETECTOR)
+        return work
+
+    @settings(max_examples=40, deadline=None)
+    @given(chunked_files())
+    @example((b"", 1))
+    @example((sample_bytes([0.0, 0.2], header=b"t,ax,ay"), 1))
+    @example((HEADER + b"\n", 0))
+    @example((HEADER, 0))
+    @example((sample_bytes([0.2, 3.0, 0.0, 0.0, 3.0], newline=b"\r\n"), 0))
+    @example((sample_bytes([3.0, 0.0, 0.0, 0.2], final_newline=False), 0))
+    @example((sample_bytes([3.0, 0.0, 0.0, 0.2]) + b"\n", 1))
+    @example((sample_bytes([3.0, 0.0, 0.0, 0.2, 0.0, 3.0], [(2, "off grid")]), 1))
+    @example((sample_bytes([0.0] * 6, [(1, "over limit"), (4, "word")]), 2))
+    @example((sample_bytes([0.0] * 6, [(1, "word"), (4, "blank")]), 2))
+    def test_every_chunk_length_agrees(self, work, case):
+        data, n_faults = case
+        src = work / "samples.csv"
+        src.write_bytes(data)
+        config = parse_config(FAST_DETECTOR.decode())
+        for command in ("counts", "detect"):
+            with mock.patch.object(formats, "_BLOCK_ROWS", 1):
+                want = cli_outcome(command, src, work / "fast.cfg")
+            assert want[2] == ""
+            for rows in range(2, data.count(b"\n") + 2):
+                with mock.patch.object(formats, "_BLOCK_ROWS", rows):
+                    assert cli_outcome(command, src, work / "fast.cfg") == want, rows
+            # With one fault at most, the first bad line is the whole file's. A
+            # file with a byte that is not UTF-8 has no whole text to compare.
+            if n_faults <= 1 and b"\xff" not in data:
+                assert want == whole_file_outcome(command, data, config)
+
+
+class TestBoundedMemory:
+    """The file commands hold one chunk at a time, so their peak does not grow
+    with the file (tracemalloc: Python objects and numpy buffers)."""
+
+    # Measured on these files: 6k rows peak at 0.52 MB (detect) and 0.65 MB
+    # (counts), 60k rows 0.01 and 0.02 MB above that; counting the whole file
+    # at once peaked at 1.2 and 11.5 MB (detect), 1.8 and 15.0 MB (counts).
+    MARGIN_MB = 0.1
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        work = tmp_path_factory.mktemp("memory")
+        rng = np.random.default_rng(63)
+        paths = {}
+        for n in (6_000, 60_000):
+            xyz = rng.normal(0.0, 0.4, (n, 3))
+            xyz[(np.arange(n) // 1500) % 2 == 1] = 0.0  # 15 s of rest in every 30 s
+            paths[n] = work / f"samples_{n}.csv"
+            paths[n].write_text(serialize_samples(make_samples(xyz)), newline="\n")
+        return paths
+
+    @staticmethod
+    def peak_mb(argv):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("command", ["counts", "detect"])
+    def test_peak_does_not_grow_with_the_file(self, command, files, tmp_path):
+        short, long = (self.peak_mb([command, str(files[n]), "-o", str(tmp_path / "out.csv")])
+                       for n in (6_000, 60_000))
+        assert long < short + self.MARGIN_MB, (short, long)
 
 
 class TestSimulate:

@@ -7,7 +7,8 @@ walking and saturating movement), a custom configuration and a scenario with
 motor feedback and button presses, all written as text here rather than by
 stillwatch. From them the script runs `counts` and `detect` (stock and custom
 configuration; `detect` also on a CRLF copy of the samples, which must give
-the same events), `simulate` (trace and events, both configurations),
+the same events), `simulate` (trace and events, both configurations, and the
+stock trace once more from stdout, which must be the same bytes),
 `design-filter --order 2/4/6` and `figure3`, and round-trips the configuration
 and scenario files through their parsers and serializers. Everything lands
 under OUT_DIR, so two commits compare with one command:
@@ -170,6 +171,7 @@ def write_tree(out_dir: Path) -> None:
         run(["detect", samples, *config, "-o", str(out_dir / f"detect_{name}.csv")])
         run(["simulate", scenario, *config, "-o", str(out_dir / f"simulate_{name}_trace.csv"),
              "--events", str(out_dir / f"simulate_{name}_events.csv")])
+    write(out_dir / "simulate_stdout_trace.csv", run(["simulate", scenario]))
     # The copy stays out of the tree: it is the samples input with CRLF line
     # ends, which reach `parse_samples` as written and take its numpy path.
     with tempfile.TemporaryDirectory() as scratch:

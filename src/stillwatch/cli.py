@@ -20,11 +20,13 @@ stderr, with a line number where the input is to blame).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import shutil
 import sys
 import tempfile
 from pathlib import Path
+from typing import Iterator, TextIO
 
 from . import io as formats
 from .counts import CountsPipeline
@@ -41,12 +43,14 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _write_output(text: str, path: str | None) -> None:
+@contextlib.contextmanager
+def _open_output(path: str | Path | None) -> Iterator[TextIO]:
+    """The text stream an output goes to: the file at `path`, or stdout."""
     if path is None:
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            yield fh
 
 
 def _load_config(path: str | None) -> formats.ConfigFile:
@@ -108,11 +112,8 @@ def _cmd_counts(args: argparse.Namespace) -> int:
             text = formats.serialize_counts(zip(t.tolist(), vm.tolist(), *sums.T.tolist()))
             rows.write(text.partition("\n")[2])  # the rows, after their header
         rows.seek(0)
-        if args.output is None:
-            shutil.copyfileobj(rows, sys.stdout)
-        else:
-            with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-                shutil.copyfileobj(rows, fh)
+        with _open_output(args.output) as out:
+            shutil.copyfileobj(rows, out)
     return 0
 
 
@@ -123,7 +124,8 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     for t, vm, _ in _count_file(args.samples, config):
         for tk, value in zip(t.tolist(), vm.tolist()):
             events.extend(detector.tick(value, tk).events)
-    _write_output(formats.serialize_events(events), args.output)
+    with _open_output(args.output) as out:
+        out.write(formats.serialize_events(events))
     return 0
 
 
@@ -131,9 +133,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     scenario = formats.parse_scenario(_read_text(args.scenario))
     trace = run(scenario, config)
-    _write_output(formats.serialize_trace(trace), args.output)
+    with _open_output(args.output) as out:
+        formats.serialize_trace(trace, out)
     if args.events is not None:
-        _write_output(formats.serialize_events(trace.events), args.events)
+        with _open_output(args.events) as out:
+            out.write(formats.serialize_events(trace.events))
     return 0
 
 
@@ -150,9 +154,12 @@ def _cmd_figure3(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     scenario = canonical_scenario()
     trace = run(scenario)
-    _write_output(formats.serialize_trace(trace), str(out_dir / "figure3_trace.csv"))
-    _write_output(formats.serialize_events(trace.events), str(out_dir / "figure3_events.csv"))
-    _write_output(formats.serialize_scenario(scenario), str(out_dir / "figure3_scenario.txt"))
+    with _open_output(out_dir / "figure3_trace.csv") as out:
+        formats.serialize_trace(trace, out)
+    with _open_output(out_dir / "figure3_events.csv") as out:
+        out.write(formats.serialize_events(trace.events))
+    with _open_output(out_dir / "figure3_scenario.txt") as out:
+        out.write(formats.serialize_scenario(scenario))
     return 0
 
 

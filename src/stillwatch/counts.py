@@ -210,7 +210,7 @@ class AxisWindow:
         self._up = 2.0**shift
         self._down = 2.0**-shift
         self._qmax = contribution(config.saturation_g, config) * self._up
-        self._buf = [0] * config.window_samples
+        self._buf = np.zeros(config.window_samples).tolist()
         self._idx = 0
         self._sum = 0
 

@@ -26,7 +26,9 @@ one float64 array of t, ax, ay, az rows. numpy reads the body, and the
 array's values and timestamp grid are checked as arrays. A file that fails
 any of that is parsed again line by line, and that parser alone decides: it
 accepts what float() reads, which includes every token numpy does, or names
-the first bad line. The wide trace is written one %-formatted row at a time.
+the first bad line. The wide trace is written one %-formatted row at a time,
+to a text stream in blocks of rows rather than returned as a string: a
+simulation holds its trace arrays (84 bytes per tick), never their whole text.
 
 Formats:
   samples        t,ax,ay,az                     raw accelerometer stream
@@ -46,7 +48,7 @@ import itertools
 import math
 import typing
 from dataclasses import MISSING, fields
-from typing import Callable, Iterable, Literal, Sequence
+from typing import Callable, Iterable, Literal, Sequence, TextIO
 
 import numpy as np
 
@@ -293,16 +295,16 @@ def serialize_events(events: Iterable[DetectorEvent]) -> str:
 _TRACE_ROW = ",".join("%.9g" if dtype is np.float64 else "%d" for _, dtype in TRACE_COLUMNS)
 
 
-def serialize_trace(trace: SimulationTrace) -> str:
+def serialize_trace(trace: SimulationTrace, out: TextIO) -> None:
+    """Write the trace CSV to the text stream `out`, one block of rows at a
+    time: the text held at once is one block's, whatever the trace's length."""
     arrays = [getattr(trace, name) for name, _ in TRACE_COLUMNS]
-    parts = [TRACE_HEADER, "\n"]
-    # Python values for one block of rows at a time, to bound memory.
+    out.write(TRACE_HEADER + "\n")
     for start in range(0, len(trace), _BLOCK_ROWS):
         block = [array[start:start + _BLOCK_ROWS] for array in arrays]
         columns = [(c + 0.0 if c.dtype == np.float64 else c).tolist() for c in block]
-        parts.append("\n".join(map(_TRACE_ROW.__mod__, zip(*columns))))
-        parts.append("\n")
-    return "".join(parts)
+        out.write("\n".join(map(_TRACE_ROW.__mod__, zip(*columns))))
+        out.write("\n")
 
 
 # --------------------------------------------------------------------------

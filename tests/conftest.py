@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from stillwatch import (
     RawSample,
     design_bandpass_cascade,
 )
+from stillwatch.io import serialize_trace
 
 
 @pytest.fixture(scope="session")
@@ -45,6 +48,13 @@ def make_samples(xyz: np.ndarray, fs: float = 100.0, t0: float = 0.0) -> list[Ra
         RawSample(t0 + k / fs, float(xyz[k, 0]), float(xyz[k, 1]), float(xyz[k, 2]))
         for k in range(xyz.shape[0])
     ]
+
+
+def trace_text(trace) -> str:
+    """The trace CSV that `serialize_trace` writes, as a string."""
+    out = io.StringIO()
+    serialize_trace(trace, out)
+    return out.getvalue()
 
 
 def run_pipeline(xyz: np.ndarray, cfg: CountsConfig | None = None, order: int = 2):

@@ -27,7 +27,7 @@ from stillwatch import (
 )
 from stillwatch import io as formats
 
-from conftest import make_samples, random_vm_trace
+from conftest import make_samples, random_vm_trace, trace_text
 from _oracles import detector_event_oracle, fsum_window_sums
 
 TICK = 0.01
@@ -247,8 +247,8 @@ def test_criterion_8_interaction_model():
 def test_criterion_9_determinism_and_round_trips(tmp_path):
     # byte-identical repeated end-to-end runs
     scenario = canonical_scenario()
-    text_a = formats.serialize_trace(run(scenario))
-    text_b = formats.serialize_trace(run(scenario))
+    text_a = trace_text(run(scenario))
+    text_b = trace_text(run(scenario))
     assert text_a == text_b
 
     rng = np.random.default_rng(111)

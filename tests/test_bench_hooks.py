@@ -77,6 +77,8 @@ def test_traced_session_reaches_every_span(spans, scenario_file, tmp_path):
     # The watch reaches its detector through `stillwatch.device.detector_tick`,
     # the detect command through `InactivityDetector.tick`: both are timed.
     assert calls["detector.tick"] == calls["device.tick"] + DETECT_SAMPLES
+    # One formatting call per simulate, so the per-row figure stays per row.
+    assert calls["io.serialize_trace"] == 1
     assert not tracer.errors
 
 

@@ -18,6 +18,7 @@ from stillwatch import (
     CountsPipeline,
     InactivityDetector,
     RawSample,
+    Scenario,
     ScenarioSampler,
     canonical_scenario,
     run,
@@ -25,6 +26,7 @@ from stillwatch import (
 from stillwatch import io as formats
 from stillwatch.cli import main
 from stillwatch.io import (
+    TRACE_HEADER,
     ParseError,
     parse_config,
     parse_events,
@@ -34,6 +36,7 @@ from stillwatch.io import (
     serialize_samples,
     serialize_scenario,
 )
+from stillwatch.sim import TRACE_COLUMNS
 
 from conftest import make_samples
 
@@ -433,6 +436,21 @@ class TestBoundedMemory:
                        for n in (6_000, 60_000))
         assert long < short + self.MARGIN_MB, (short, long)
 
+    def test_simulate_holds_the_trace_arrays_and_one_block_of_text(self, tmp_path):
+        # The trace record (84 B per tick) is all that grows. Measured: 30 s
+        # peaks at 0.91 MB and 300 s at 3.08 MB, 84.1 B per extra tick; with
+        # the trace's whole text held, as before, 1.04 and 6.54 MB (214 B).
+        argv = {}
+        for seconds in (30.0, 300.0):
+            path = tmp_path / f"scenario_{seconds:g}.txt"
+            path.write_text(serialize_scenario(canonical_scenario(seconds)))
+            argv[seconds] = ["simulate", str(path), "-o", str(tmp_path / "trace.csv"),
+                             "--events", str(tmp_path / "events.csv")]
+        self.peak_mb(argv[30.0])  # first-use caches are not the trace's
+        short, long = self.peak_mb(argv[30.0]), self.peak_mb(argv[300.0])
+        per_tick = np.dtype(list(TRACE_COLUMNS)).itemsize
+        assert long < short + (per_tick * 27_000) / 2**20 + self.MARGIN_MB, (short, long)
+
 
 class TestSimulate:
     def test_trace_and_events_outputs(self, tmp_path):
@@ -446,6 +464,28 @@ class TestSimulate:
         ]) == 0
         assert trace_path.read_text().startswith("t,ax,ay,az,vm,sx,sy,sz,timer,")
         assert events_path.read_bytes() == GOLDEN_EVENTS.read_bytes()
+
+    @pytest.mark.parametrize("events", [False, True])
+    def test_stdout_gets_the_bytes_of_the_output_file(self, events, tmp_path, capsysbinary):
+        scenario_path = tmp_path / "scenario.txt"
+        scenario_path.write_text(serialize_scenario(canonical_scenario(12.0)))
+        trace_path, events_path = tmp_path / "trace.csv", tmp_path / "events.csv"
+        assert main(["simulate", str(scenario_path), "-o", str(trace_path),
+                     "--events", str(events_path)]) == 0
+        events_argv = ["--events", str(tmp_path / "stdout_events.csv")] if events else []
+        assert main(["simulate", str(scenario_path), *events_argv]) == 0
+        stdout = capsysbinary.readouterr().out
+        assert stdout == trace_path.read_bytes()
+        assert stdout.count(b"\n") == 1 + 1200  # the header, then two blocks of rows
+        if events:
+            assert (tmp_path / "stdout_events.csv").read_bytes() == events_path.read_bytes()
+
+    def test_zero_duration_gives_the_header_alone(self, tmp_path, capsys):
+        scenario_path = tmp_path / "scenario.txt"
+        scenario_path.write_text(serialize_scenario(Scenario(0.0, seed=1, segments=())))
+        assert main(["simulate", str(scenario_path), "--events", str(tmp_path / "ev.csv")]) == 0
+        assert capsys.readouterr().out == TRACE_HEADER + "\n"
+        assert (tmp_path / "ev.csv").read_text() == "t,event\n"
 
     def test_scenario_parse_error_is_line_addressed(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

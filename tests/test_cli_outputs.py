@@ -13,7 +13,7 @@ TREE = {
     "counts_default.csv", "counts_custom.csv", "detect_default.csv", "detect_custom.csv",
     "detect_crlf.csv",
     "simulate_default_trace.csv", "simulate_default_events.csv",
-    "simulate_custom_trace.csv", "simulate_custom_events.csv",
+    "simulate_custom_trace.csv", "simulate_custom_events.csv", "simulate_stdout_trace.csv",
     "design_filter_order2.txt", "design_filter_order4.txt", "design_filter_order6.txt",
     "figure3/figure3_trace.csv", "figure3/figure3_events.csv", "figure3/figure3_scenario.txt",
     "config_default.txt", "config_custom.txt", "scenario_canonical.txt", "scenario_custom.txt",
@@ -37,3 +37,5 @@ def test_script_writes_the_output_tree(tmp_path):
     assert len((out / "design_filter_order6.txt").read_text().splitlines()) == 3
     assert (out / "figure3" / "figure3_events.csv").read_bytes() == GOLDEN_EVENTS.read_bytes()
     assert (out / "detect_crlf.csv").read_bytes() == (out / "detect_default.csv").read_bytes()
+    stdout_trace = (out / "simulate_stdout_trace.csv").read_bytes()
+    assert stdout_trace == (out / "simulate_default_trace.csv").read_bytes()

@@ -1,5 +1,7 @@
+import gc
 import math
 import sys
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -126,6 +128,23 @@ class TestAxisWindow:
         window = AxisWindow(counts_cfg)
         streamed = np.array([window.push(c) for c in contributions])
         assert np.array_equal(streamed, fsum_window_sums(contributions, 100))
+
+    def test_a_new_window_holds_its_memory_from_the_first_epoch(self, counts_cfg):
+        # Every slot starts as its own float zero, so a push frees the float it
+        # replaces; a shared int 0 grew the window by a float per slot (2.5 KB).
+        window = AxisWindow(counts_cfg)
+        assert all(type(slot) is float for slot in window._buf)
+        contributions = [(k % 7 + 1) * window._down for k in range(len(window._buf))]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for c in contributions:
+                window.push(c)
+            growth = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert growth < 6 * len(window._buf), growth  # measured: 184 B
 
     def test_rejects_negative_and_nonfinite(self, counts_cfg):
         window = AxisWindow(counts_cfg)

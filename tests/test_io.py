@@ -46,9 +46,10 @@ from stillwatch.io import (
     serialize_samples,
     serialize_scenario,
     serialize_snapshots,
-    serialize_trace,
 )
 from stillwatch.sim import TRACE_COLUMNS
+
+from conftest import trace_text
 
 
 def random_samples(rng, n):
@@ -271,7 +272,7 @@ class TestTrace:
         rows = zip(*(getattr(trace, name).tolist() for name in TRACE_HEADER.split(",")))
         by_dtype = {np.float64: _g9, np.bool_: _bool01, np.int64: str}
         formats = [by_dtype[dtype] for _, dtype in TRACE_COLUMNS]
-        text = serialize_trace(trace)
+        text = trace_text(trace)
         assert text == _format_rows(TRACE_HEADER, formats, rows)
         assert text.splitlines()[1].startswith("0,0,")
 

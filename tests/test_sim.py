@@ -19,7 +19,8 @@ from stillwatch import (
     canonical_scenario,
     run,
 )
-from stillwatch import io as formats
+
+from conftest import trace_text
 
 QUIET_MINUTE = Scenario(
     duration_seconds=60.0,
@@ -217,8 +218,8 @@ class TestBlockNoise:
 class TestRun:
     def test_rerun_is_bit_identical(self):
         scenario = canonical_scenario()
-        first = formats.serialize_trace(run(scenario))
-        second = formats.serialize_trace(run(scenario))
+        first = trace_text(run(scenario))
+        second = trace_text(run(scenario))
         assert first == second
 
     def test_canonical_event_shape(self):

@@ -10,8 +10,11 @@ configuration; `detect` also on a CRLF copy of the samples, which must give
 the same events), `simulate` (trace and events, both configurations, and the
 stock trace once more from stdout, which must be the same bytes),
 `design-filter --order 2/4/6` and `figure3`, and round-trips the configuration
-and scenario files through their parsers and serializers. Everything lands
-under OUT_DIR, so two commits compare with one command:
+and scenario files through their parsers and serializers. `errors.txt` holds
+the exit code and stderr of each command refused for a fixed bad input: sample
+files for `counts` and `detect`, configuration files for `detect` and a
+scenario for `simulate`. Everything lands under OUT_DIR, so two commits
+compare with one command:
 
     PYTHONPATH=path/to/other/src python3 scripts/cli_outputs.py /tmp/other
     python3 scripts/cli_outputs.py /tmp/this
@@ -117,6 +120,32 @@ button = red
 """
 
 
+def late_off_grid_csv() -> str:
+    """A full first chunk of 1,024 rows on the sample grid, then an off-grid t
+    on line 1,026: a fault that only the second chunk holds."""
+    rows = [f"{k / FS!r},0,0,1" for k in range(1024)] + ["10.5,0,0,1"]
+    return "t,ax,ay,az\n" + "\n".join(rows) + "\n"
+
+
+# Inputs that every command given them refuses, with exit 1.
+BAD_SAMPLES = {
+    "bad_token": b"t,ax,ay,az\n0,0,0,1\n0.01,0,oops,1\n",
+    "off_grid_t": b"t,ax,ay,az\n0,0,0,1\n0.015,0,0,1\n",
+    "over_input_limit": b"t,ax,ay,az\n0,0,0,1\n0.01,1e306,0,1\n",
+    "not_utf8": b"t,ax,ay,az\n0,0,0,1\n0.01,0,0,\xff1\n",
+    "wrong_header": b"time,ax,ay,az\n0,0,0,1\n",
+    "blank_line": b"t,ax,ay,az\n0,0,0,1\n\n0.01,0,0,1\n",
+    "cr_line_ends": b"t,ax,ay,az\r0,0,0,1\r0.01,0,0,1\r",
+    "off_grid_t_line_1026": late_off_grid_csv().encode(),
+}
+BAD_CONFIGS = {
+    "unknown_key": "[filter]\nq_factor = 2\n",
+    "moved_key": "[filter]\nsample_rate_hz = 50\n",
+    "off_grid_device_duration": "[device]\nvibration_seconds = 0.005\n",
+}
+BAD_SCENARIO = SCENARIO.replace("kind = sine", "kind = wiggle")
+
+
 def samples_csv() -> str:
     """SECONDS of numpy-drawn 3-axis samples in stretches of rest, desk work,
     walking and saturating movement, with gravity on z and sensor noise."""
@@ -154,6 +183,30 @@ def run(argv: list[str]) -> str:
     return out.getvalue()
 
 
+def refusals(scratch: Path, samples: str) -> str:
+    """The exit code and stderr of each command run on a bad input, under a
+    heading that names the command and the input."""
+    cases = []
+    for name, data in BAD_SAMPLES.items():
+        path = scratch / f"{name}.csv"
+        path.write_bytes(data)
+        cases += [(f"{command} {name}", [command, str(path)]) for command in ("counts", "detect")]
+    for name, text in BAD_CONFIGS.items():
+        config = write(scratch / f"{name}.cfg", text)
+        cases.append((f"detect --config {name}", ["detect", samples, "--config", config]))
+    scenario = write(scratch / "unknown_segment_kind.txt", BAD_SCENARIO)
+    cases.append(("simulate unknown_segment_kind", ["simulate", scenario]))
+    blocks = []
+    for title, argv in cases:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([*argv, "-o", str(scratch / "refused_output")])
+        if code != 1:
+            raise SystemExit(f"stillwatch {title} exited with {code}, not 1")
+        blocks.append(f"# {title}\nexit {code}\n{err.getvalue()}")
+    return "\n".join(blocks)
+
+
 def write(path: Path, text: str) -> str:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8", newline="\n")
@@ -174,9 +227,11 @@ def write_tree(out_dir: Path) -> None:
     write(out_dir / "simulate_stdout_trace.csv", run(["simulate", scenario]))
     # The copy stays out of the tree: it is the samples input with CRLF line
     # ends, which reach `parse_samples` as written and take its numpy path.
+    # So do the bad inputs, whose refusals errors.txt holds.
     with tempfile.TemporaryDirectory() as scratch:
         crlf = write(Path(scratch) / "samples_crlf.csv", text.replace("\n", "\r\n"))
         run(["detect", crlf, "-o", str(out_dir / "detect_crlf.csv")])
+        write(out_dir / "errors.txt", refusals(Path(scratch), samples))
     for order in (2, 4, 6):
         write(out_dir / f"design_filter_order{order}.txt",
               run(["design-filter", "--order", str(order)]))

@@ -110,7 +110,7 @@ class CountsConfig:
                 f"deadband_g={self.deadband_g} must be below saturation_g={self.saturation_g}"
             )
         n = self.epoch_seconds * self.sample_rate_hz
-        if abs(n - round(n)) > 1e-9 or round(n) < 1:
+        if not math.isfinite(n) or abs(n - round(n)) > 1e-9 or round(n) < 1:
             raise ValueError(
                 f"epoch_seconds * sample_rate_hz must be a positive integer, got {n}"
             )

@@ -120,9 +120,10 @@ class Device:
             )
         # In ticks, snapped to a whole or half tick within 1e-6: 0.07 / 0.01 is 7.000000000000001.
         period = self.config.blue_flash_period_seconds / base.tick_seconds
-        snapped = round(2.0 * period) / 2.0
+        snapped = round(2.0 * period) / 2.0 if math.isfinite(2.0 * period) else period
         self._flash_period = snapped if snapped and abs(period - snapped) <= 1e-6 else period
-        if self._flash_period < 2:  # a one-tick cycle would light two flashes as one
+        # A one-tick cycle would light two flashes as one; an infinite one, none.
+        if not 2 <= self._flash_period < math.inf:
             raise ValueError(
                 f"blue_flash_period_seconds={self.config.blue_flash_period_seconds} must be at "
                 f"least two {base.tick_seconds} s ticks"

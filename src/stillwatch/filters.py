@@ -119,45 +119,32 @@ def design_bandpass_cascade(
     bw = w2 - w1
     w0 = math.sqrt(w1 * w2)
 
-    proto = _prototype_poles(n)
-    analog_poles: list[complex] = []
-    for p in proto:
+    # One walk over the prototype poles: each gives two band-pass poles.
+    fs2 = 2.0 * fs
+    denom = complex(1.0, 0.0)
+    feedback: list[tuple[float, float]] = []
+    for p in _prototype_poles(n):
         pb = p * (bw / 2.0)
         d = cmath.sqrt(pb * pb - w0 * w0)
-        analog_poles.extend((pb + d, pb - d))
+        z = [(fs2 + s) / (fs2 - s) for s in (pb + d, pb - d)]  # bilinear transform
+        denom *= fs2 - (pb + d)
+        denom *= fs2 - (pb - d)
+        if abs(p.imag) < 1e-12:
+            # Real prototype pole: its two band-pass poles share one section.
+            feedback.append((-(z[0] + z[1]).real, (z[0] * z[1]).real))
+        elif p.imag > 0:
+            # Complex pair (p, conj(p)): each band-pass pole pairs with its
+            # own conjugate, giving two sections.
+            feedback.extend((-2.0 * zk.real, abs(zk) ** 2) for zk in z)
+    assert len(feedback) == n
 
     # Overall digital gain for n zeros at s=0 mapped through z = (2fs+s)/(2fs-s),
     # with n more zeros appended at z=-1 to balance the pole count.
-    fs2 = 2.0 * fs
-    denom = complex(1.0, 0.0)
-    for p in analog_poles:
-        denom *= fs2 - p
     k_digital = ((bw**n) * (fs2**n) / denom).real
     if not (k_digital > 0.0 and math.isfinite(k_digital)):
         raise ValueError("degenerate design: non-positive overall gain")
     g = k_digital ** (1.0 / n)
-
-    sections: list[BiquadCoefficients] = []
-    for p in proto:
-        pb = p * (bw / 2.0)
-        d = cmath.sqrt(pb * pb - w0 * w0)
-        if abs(p.imag) < 1e-12:
-            # Real prototype pole: its two band-pass poles share one section.
-            z1 = (fs2 + (pb + d)) / (fs2 - (pb + d))
-            z2 = (fs2 + (pb - d)) / (fs2 - (pb - d))
-            sections.append(
-                BiquadCoefficients(g, 0.0, -g, -(z1 + z2).real, (z1 * z2).real)
-            )
-        elif p.imag > 0:
-            # Complex pair (p, conj(p)): each band-pass pole pairs with its
-            # own conjugate, giving two sections.
-            for s in (pb + d, pb - d):
-                z = (fs2 + s) / (fs2 - s)
-                sections.append(
-                    BiquadCoefficients(g, 0.0, -g, -2.0 * z.real, abs(z) ** 2)
-                )
-    assert len(sections) == n
-    return tuple(sections)
+    return tuple(BiquadCoefficients(g, 0.0, -g, a1, a2) for a1, a2 in feedback)
 
 
 class Biquad:

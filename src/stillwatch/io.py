@@ -8,13 +8,14 @@ use a small sectioned key-value format:
     [section]
     key = value
 
-Each section fills one dataclass, or a few fields of one, and a small codec
-reads the keys off those fields: their names, their order, their defaults (an
-omitted key keeps the field default) and how values are written, chosen by
-field type: a float as the shortest decimal that reparses to the same double,
-an int in decimal, a bool as true/false, a three-float tuple as comma-separated
-floats, and a Literal string as one of its choices. The trace CSV is likewise
-one column per array field of SimulationTrace.
+Each section fills one dataclass, or a few fields of one, and a (parse,
+format) codec per key, chosen by field type, reads the keys off those fields:
+their names, their order, their defaults (an omitted key keeps the field
+default) and how values are written: a float as the shortest decimal that
+reparses to the same double, an int in decimal, a bool as true/false, a
+three-float tuple as comma-separated floats, and a Literal string as one of
+its choices. A CSV table has no codecs, only one formatter per column; the
+trace's columns are the array fields of SimulationTrace.
 
 Parsers are strict: the first problem raises ParseError carrying the line
 number, and nothing is returned. Serializers emit canonical text, so
@@ -44,7 +45,6 @@ Formats:
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import typing
 from dataclasses import MISSING, fields
@@ -95,6 +95,7 @@ DEVICE_LOG_HEADER = "t,kind,arg"
 SNAPSHOTS_HEADER = "t,motor,white,blue,red,option,timer"
 
 _BUTTONS = typing.get_args(Button)
+_EVENT_KINDS = typing.get_args(EventKind)
 
 
 class ParseError(ValueError):
@@ -177,35 +178,15 @@ def _csv_rows(text: str, header: str) -> list[tuple[int, list[str]]]:
     return rows
 
 
-# (parse one field, format one value) of a CSV column.
-_Codec = tuple[Callable, Callable]
-_SHORTEST: _Codec = (_parse_float, _float_str)  # raw input: reparses exactly
-_G9: _Codec = (_parse_float, _g9)  # derived output
-
-
-def _parse_rows(text: str, header: str, columns: Sequence[_Codec]) -> list[list]:
-    """The parsed values of every data row; errors name the column."""
-    names = header.split(",")
-    return [
-        [parse(token, i, name) for (parse, _), token, name in zip(columns, fields, names)]
-        for i, fields in _csv_rows(text, header)
-    ]
-
-
-# Rows formatted per block, a column at a time: formatting a whole 90 s trace
-# at once held 5.7 MB of column text, against 1.6 MB in blocks of this size.
+# Rows at a time of a long stream, written by `serialize_trace` and read by
+# `cli._count_file`, so neither holds a whole file's text.
 _BLOCK_ROWS = 1024
 
 
 def _format_rows(header: str, formats: Sequence[Callable], rows: Iterable[Sequence]) -> str:
     """The CSV text of the header and rows, each value written by its column's format."""
-    parts = [header, "\n"]
-    rows = iter(rows)
-    while block := list(itertools.islice(rows, _BLOCK_ROWS)):
-        texts = [map(fmt, values) for fmt, values in zip(formats, zip(*block))]
-        parts.append("\n".join(map(",".join, zip(*texts))))
-        parts.append("\n")
-    return "".join(parts)
+    texts = [map(fmt, values) for fmt, values in zip(formats, zip(*rows))]
+    return "\n".join([header, *map(",".join, zip(*texts))]) + "\n"
 
 
 # --------------------------------------------------------------------------
@@ -270,20 +251,20 @@ def serialize_samples(samples: Iterable[Sequence[float]]) -> str:
 # --------------------------------------------------------------------------
 # Counts output and detector event traces
 
-_EVENT_COLUMNS = (_G9, (functools.partial(_parse_choice, typing.get_args(EventKind)), str))
-
 
 def serialize_counts(rows: Iterable[Sequence[float]]) -> str:
     return _format_rows(COUNTS_HEADER, (_g9,) * 5, rows)
 
 
 def parse_events(text: str) -> list[DetectorEvent]:
-    return [DetectorEvent(t, kind) for t, kind in _parse_rows(text, EVENTS_HEADER, _EVENT_COLUMNS)]
+    return [
+        DetectorEvent(_parse_float(t, i, "t"), _parse_choice(_EVENT_KINDS, kind, i, "event"))
+        for i, (t, kind) in _csv_rows(text, EVENTS_HEADER)
+    ]
 
 
 def serialize_events(events: Iterable[DetectorEvent]) -> str:
-    formats = [fmt for _, fmt in _EVENT_COLUMNS]
-    return _format_rows(EVENTS_HEADER, formats, ((e.t, e.kind) for e in events))
+    return _format_rows(EVENTS_HEADER, (_g9, str), ((e.t, e.kind) for e in events))
 
 
 # --------------------------------------------------------------------------
@@ -329,11 +310,8 @@ def parse_device_log(text: str) -> list[tuple[float, str, float | str]]:
 
 
 def serialize_device_log(records: Iterable[tuple[float, str, float | str]]) -> str:
-    lines = [DEVICE_LOG_HEADER]
-    for t, kind, arg in records:
-        arg_str = _g9(arg) if kind == "sample" else str(arg)
-        lines.append(f"{_g9(t)},{kind},{arg_str}")
-    return "\n".join(lines) + "\n"
+    rows = ((t, kind, _g9(arg) if kind == "sample" else arg) for t, kind, arg in records)
+    return _format_rows(DEVICE_LOG_HEADER, (_g9, str, str), rows)
 
 
 def serialize_snapshots(snapshots: Iterable[DeviceSnapshot]) -> str:
@@ -386,8 +364,9 @@ def _parse_floats3(token: str, line: int, what: str) -> tuple[float, ...]:
 
 
 # (parse, format) of a `key = value` line, by field type.
+_Codec = tuple[Callable, Callable]
 _SCALARS: dict[object, _Codec] = {
-    float: _SHORTEST,
+    float: (_parse_float, _float_str),
     int: (_parse_int, str),
     bool: (_parse_bool, lambda value: "true" if value else "false"),
     tuple[float, float, float]: (

@@ -247,7 +247,7 @@ class ScenarioSampler:
                 f"is not below the Nyquist frequency {nyquist} Hz"
             )
         ticks = scenario.duration_seconds * sample_rate_hz
-        if abs(ticks - round(ticks)) > 1e-9:
+        if not math.isfinite(ticks) or abs(ticks - round(ticks)) > 1e-9:
             raise ValueError(
                 f"duration {scenario.duration_seconds} s is not a whole number of "
                 f"samples at {sample_rate_hz} Hz"

@@ -536,6 +536,39 @@ class TestSimulate:
         assert starts and starts[0].t == pytest.approx(27.68)
 
 
+class TestTickOverflow:
+    """Finite settings whose count of ticks overflows a float are refused as
+    any other misfit is, not with a traceback. Each fails at construction,
+    before any array is sized from it."""
+
+    @pytest.mark.parametrize(
+        "config,message",
+        [
+            ("[counts]\nepoch_seconds = 1e300\nsample_rate_hz = 1e10\n",
+             "error: line 1: epoch_seconds * sample_rate_hz must be a positive integer, got inf"),
+            ("[detector]\ncount_threshold = 100\n\n[device]\nblue_flash_period_seconds = 1e307\n",
+             "error: line 4: blue_flash_period_seconds=1e+307 must be at least two 0.01 s ticks"),
+        ],
+        ids=["counts", "device"],
+    )
+    def test_config_fails_on_its_section_line(self, config, message, sample_file, tmp_path,
+                                              capsys):
+        path = tmp_path / "config.txt"
+        path.write_text(config)
+        out = tmp_path / "events.csv"
+        assert main(["detect", str(sample_file), "--config", str(path), "-o", str(out)]) == 1
+        assert capsys.readouterr().err == message + "\n"
+        assert not out.exists()
+
+    def test_scenario_duration_fails_in_simulate(self, tmp_path, capsys):
+        path = tmp_path / "scenario.txt"
+        path.write_text("[scenario]\nduration_seconds = 1e307\n\n"
+                        "[segment]\nkind = rest\nstart = 0\nend = 1e307\n")
+        assert main(["simulate", str(path), "-o", str(tmp_path / "trace.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: duration 1e+307 s is not a whole number of samples at 100.0 Hz\n"
+
+
 class TestFigure3:
     def test_writes_golden_event_sequence(self, tmp_path):
         out_dir = tmp_path / "fig"

@@ -17,6 +17,7 @@ TREE = {
     "design_filter_order2.txt", "design_filter_order4.txt", "design_filter_order6.txt",
     "figure3/figure3_trace.csv", "figure3/figure3_events.csv", "figure3/figure3_scenario.txt",
     "config_default.txt", "config_custom.txt", "scenario_canonical.txt", "scenario_custom.txt",
+    "errors.txt",
 }
 
 

@@ -128,6 +128,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="option 0 and vibration_seconds are 10.0 s and 5.0 s"):
             Device(DeviceConfig(), detector_config)
 
+    def test_two_options_are_refused(self):
+        with pytest.raises(ValueError, match="^exactly three inactivity options are required, "
+                                             "got 2$"):
+            DeviceConfig(inactivity_options=(10.0, 30.0))
+
     def test_option_off_the_tick_grid_fails_at_construction(self):
         # not at the select press that would switch to it
         with pytest.raises(ValueError, match="whole number"):

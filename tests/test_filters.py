@@ -96,6 +96,15 @@ class TestDesign:
         with pytest.raises(ValueError, match="unstable"):
             BiquadCoefficients(1.0, 0.0, -1.0, -2.5, 1.2)
 
+    def test_nonzero_nyquist_gain_rejected(self):
+        with pytest.raises(ValueError, match="^band-pass section must have zero gain at Nyquist$"):
+            BiquadCoefficients(1.0, -1.0, 0.0, 0.1, 0.2)
+
+    def test_degenerate_gain_rejected(self):
+        # bw**2 underflows to 0, so the overall gain is 0
+        with pytest.raises(ValueError, match="^degenerate design: non-positive overall gain$"):
+            design_bandpass_cascade(FilterSpec(100.0, 1e-300, 2e-300), 4)
+
     def test_non_bandpass_coefficients_rejected(self):
         with pytest.raises(ValueError, match="DC"):
             BiquadCoefficients(1.0, 0.5, 0.25, -0.5, 0.25)

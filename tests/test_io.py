@@ -368,6 +368,18 @@ class TestScenarioFormat:
              "\n[button]\nt = 1\nbutton = launch\n", 11, "button must be one of"),
             ("[scenario]\nduration_seconds = 5\n\n[segment]\nkind = rest\nstart = 0\nend = 5\n"
              "\n[motor_feedback]\namplitude_g = 0.5\nenabled = maybe\n", 11, "enabled"),
+            ("[scenario]\n[ ]\n", 2, "empty section name"),
+            ("[scenario]\nduration_seconds 5\n", 2,
+             "expected 'key = value', got 'duration_seconds 5'"),
+            ("[scenario]\nduration_seconds =\n", 2,
+             "expected 'key = value', got 'duration_seconds ='"),
+            ("[scenario]\nduration_seconds = 5\n\n[segment]\nstart = 0\nend = 5\n",
+             4, "segment is missing the kind key"),
+            ("[scenario]\nduration_seconds = 5\n[scenario]\nduration_seconds = 5\n",
+             3, "duplicate [scenario] section"),
+            ("[scenario]\nduration_seconds = 5\n\n[segment]\nkind = rest\nstart = 0\nend = 5\n"
+             "\n[motor_feedback]\nenabled = true\n\n[motor_feedback]\nenabled = false\n",
+             12, "duplicate [motor_feedback] section"),
         ],
     )
     def test_errors_carry_line_numbers(self, text, line, fragment):
@@ -540,6 +552,23 @@ class TestConfigFormat:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ParseError, match="unknown key"):
             parse_config("[filter]\nq_factor = 2\n")
+
+    @pytest.mark.parametrize(
+        "text,line,message",
+        [
+            ("[filter]\norder = 2.5\n", 2, "order: not an integer: '2.5'"),
+            ("[filter]\norder = 3\n", 1, "order must be an even integer >= 2, got 3"),
+            ("[device]\ninactivity_options = 10, 30\n", 2,
+             "inactivity_options needs exactly three comma-separated values, got '10, 30'"),
+            ("[detector]\ncount_threshold = 100\n\n[tuning]\n", 4, "unknown section [tuning]"),
+            ("[detector]\ncount_threshold = 100\n\n[detector]\ncount_threshold = 90\n", 4,
+             "duplicate section [detector]"),
+        ],
+    )
+    def test_errors_carry_line_numbers(self, text, line, message):
+        with pytest.raises(ParseError) as info:
+            parse_config(text)
+        assert (info.value.line, info.value.message) == (line, message)
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

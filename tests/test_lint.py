@@ -5,12 +5,19 @@ Two rules, read off each module's syntax tree:
 - every module-level function, class and assigned name is named somewhere
   in src/stillwatch besides its own definition, or is in its module's
   `__all__`.
+
+A third caps the package's public names.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import stillwatch
+
+# The most names `stillwatch.__all__` may hold, `__version__` included.
+MAX_PUBLIC_NAMES = 40
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "stillwatch"
 MODULES = {
@@ -80,3 +87,10 @@ def test_every_module_level_name_is_named_elsewhere_or_exported(module):
                 for alias in node.names
             }
     assert defined(tree) - named - exported(tree) == set()
+
+
+def test_public_names_are_capped_and_resolve():
+    names = stillwatch.__all__
+    assert len(names) == len(set(names)) <= MAX_PUBLIC_NAMES
+    assert "__version__" in names
+    assert all(hasattr(stillwatch, name) for name in names)

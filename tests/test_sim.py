@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -112,6 +113,28 @@ class TestScenarioValidation:
             SineMovement(0.0, 1.0, "w", 0.5, 1.0)
         with pytest.raises(ValueError):
             BurstMovement(0.0, 1.0, -0.5, 1.0)
+
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: SineMovement(0.0, 1.0, "x", 0.5, 0.0),
+             "frequency_hz must be positive, got 0.0"),
+            (lambda: Scenario(-1.0), "duration_seconds must be >= 0, got -1.0"),
+            (lambda: Scenario(0.0, seed=-1), "seed must be an unsigned 64-bit integer, got -1"),
+            (lambda: Scenario(0.0, noise_sigma_g=-0.1), "noise_sigma_g must be >= 0, got -0.1"),
+            (lambda: Scenario(0.0, segments=(Rest(0.0, 1.0),)),
+             "a zero-duration scenario cannot have segments"),
+            (lambda: Scenario(5.0), "segments must tile [0, duration]; none given"),
+            (lambda: ScenarioSampler(QUIET_MINUTE, 0.0),
+             "sample_rate_hz must be positive, got 0.0"),
+            (lambda: ScenarioSampler(rest_scenario(10.005), 100.0),
+             "duration 10.005 s is not a whole number of samples at 100.0 Hz"),
+            (lambda: canonical_scenario(5.0), "canonical scenario needs at least 10 s"),
+        ],
+    )
+    def test_refusal_names_its_check(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
 
 
 class TestGenerate:

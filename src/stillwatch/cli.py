@@ -28,6 +28,8 @@ import tempfile
 from pathlib import Path
 from typing import Iterator, TextIO
 
+import numpy as np
+
 from . import io as formats
 from .counts import CountsPipeline
 from .detector import InactivityDetector
@@ -109,7 +111,7 @@ def _cmd_counts(args: argparse.Namespace) -> int:
     with tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n") as rows:
         rows.write(formats.serialize_counts(()))
         for t, vm, sums in _count_file(args.samples, config):
-            text = formats.serialize_counts(zip(t.tolist(), vm.tolist(), *sums.T.tolist()))
+            text = formats.serialize_counts(np.column_stack((t, vm, sums)))
             rows.write(text.partition("\n")[2])  # the rows, after their header
         rows.seek(0)
         with _open_output(args.output) as out:
@@ -122,8 +124,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     detector = InactivityDetector(config.detector)
     events = []
     for t, vm, _ in _count_file(args.samples, config):
-        for tk, value in zip(t.tolist(), vm.tolist()):
-            events.extend(detector.tick(value, tk).events)
+        events += detector.process_block(vm, t)
     with _open_output(args.output) as out:
         out.write(formats.serialize_events(events))
     return 0

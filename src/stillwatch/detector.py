@@ -6,6 +6,9 @@ place by one vector-magnitude count, its only input; `InactivityDetector.tick`
 is the same function. The module-level name stays because the benchmark's
 traced mode (perfbench/spans.py) times the watch's detector by wrapping
 `stillwatch.device.detector_tick`, the name `Device.tick` calls.
+`InactivityDetector.process_block(vm, t)` advances it by a block of counts with
+the events and end state of `tick` row by row, in a loop that runs once per
+event; a caller changes `cfg` or `last_reset_tick` between blocks.
 
 While monitoring, a quiet stretch of `inactivity_seconds` starts a vibration;
 the vibration ends after `vibration_seconds`, or immediately on movement, and
@@ -26,6 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Literal
+
+import numpy as np
 
 from ._checks import require_finite, whole_ticks
 from .filters import FilterSpec
@@ -130,7 +135,7 @@ class InactivityDetector:
     while `vibrating`. `prev_above` remembers whether the previous tick was a
     movement tick (used to emit reset events only on movement onset). A new
     detector is in the power-on state. `cfg` and `last_reset_tick` may be set
-    between ticks, as a watch does when its inactivity option changes.
+    between ticks or blocks, as a watch does when its inactivity option changes.
     """
 
     __slots__ = ("cfg", "vibrating", "tick_index", "last_reset_tick",
@@ -145,6 +150,55 @@ class InactivityDetector:
         self.prev_above = False
 
     tick = detector_tick
+
+    def process_block(self, vm, t) -> list[DetectorEvent]:
+        """Advance by one tick per count in `vm`; returns the events `tick` would
+        emit, stamped with their rows' `t`, and leaves the state `tick` would
+        leave, so a stream may switch between the two at any row. The loop runs
+        once per event: it jumps a whole movement run to its first quiet gap of
+        over `inactivity_ticks`, taking the run's resets from the onset mask.
+        Rejects a negative or non-finite count, or a `t` of another length,
+        before any state changes.
+        """
+        vm = np.asarray(vm, dtype=float)
+        if len(t) != len(vm):
+            raise ValueError(f"{len(t)} timestamps for {len(vm)} vm counts")
+        cfg, n, k0, events = self.cfg, len(vm), self.tick_index, []
+        if n == 0:
+            return events
+        if not (vm.min() >= 0 and vm.max() < math.inf):  # a NaN fails both
+            bad = vm[np.argmin((vm >= 0) & (vm < math.inf))].item()
+            raise ValueError(f"vm count must be finite and nonnegative, got {bad!r}")
+        above = vm > cfg.count_threshold
+        onset = above & ~np.concatenate(([self.prev_above], above[:-1]))
+        mv = np.flatnonzero(above)  # the movement rows; a run ends before a long gap
+        run_ends = np.flatnonzero(mv[1:] - mv[:-1] > cfg.inactivity_ticks)
+        ref, vs = self.last_reset_tick - k0, self.vibration_start_tick - k0  # as rows
+        vibrating, p = self.vibrating, 0  # p: the next row to scan
+        while True:
+            a = int(mv.searchsorted(p))
+            m = int(mv[a]) if a < len(mv) else n  # the next movement row, or n
+            if vibrating:  # until movement, or until it has run its length
+                p = min(m, max(vs + cfg.vibration_ticks, p))
+                if p >= n:
+                    break
+                vibrating, ref = False, p
+                events += (DetectorEvent(float(t[p]), VIB_END), DetectorEvent(float(t[p]), RESET))
+            elif m < n and m <= max(ref + cfg.inactivity_ticks, p):
+                g = int(run_ends.searchsorted(a))
+                p = ref = int(mv[run_ends[g]] if g < len(run_ends) else mv[-1])
+                events += [DetectorEvent(float(t[i]), RESET)
+                           for i in np.flatnonzero(onset[m:p + 1]) + m]
+            else:
+                p = max(ref + cfg.inactivity_ticks, p)
+                if p >= n:
+                    break
+                vibrating, vs = True, p
+                events.append(DetectorEvent(float(t[p]), VIB_START))
+            p += 1
+        self.tick_index, self.prev_above, self.vibrating = k0 + n, bool(above[-1]), vibrating
+        self.last_reset_tick, self.vibration_start_tick = k0 + ref, k0 + vs
+        return events
 
     @property
     def timer_seconds(self) -> float:

@@ -252,8 +252,13 @@ def serialize_samples(samples: Iterable[Sequence[float]]) -> str:
 # Counts output and detector event traces
 
 
-def serialize_counts(rows: Iterable[Sequence[float]]) -> str:
-    return _format_rows(COUNTS_HEADER, (_g9,) * 5, rows)
+def serialize_counts(rows: Sequence[Sequence[float]]) -> str:
+    """Write rows of t, vm, sx, sy, sz: sequences of five floats, or an (n, 5)
+    array. One %.9g format per row, as `serialize_trace` writes; `+ 0.0` turns
+    -0.0 into 0.0 first, so each value reads as `_g9` writes it."""
+    columns = (np.asarray(rows, dtype=float) + 0.0).T.tolist()
+    lines = map("%.9g,%.9g,%.9g,%.9g,%.9g".__mod__, zip(*columns))
+    return "\n".join([COUNTS_HEADER, *lines]) + "\n"
 
 
 def parse_events(text: str) -> list[DetectorEvent]:

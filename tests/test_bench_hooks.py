@@ -75,8 +75,9 @@ def test_traced_session_reaches_every_span(spans, scenario_file, tmp_path):
     assert len(calls) == 12
     assert all(n >= 1 for n in calls.values()), calls
     # The watch reaches its detector through `stillwatch.device.detector_tick`,
-    # the detect command through `InactivityDetector.tick`: both are timed.
-    assert calls["detector.tick"] == calls["device.tick"] + DETECT_SAMPLES
+    # once per `Device.tick`; the detect command scans blocks with
+    # `InactivityDetector.process_block`, which calls no traced name.
+    assert calls["detector.tick"] == calls["device.tick"]
     # One formatting call per simulate, so the per-row figure stays per row.
     assert calls["io.serialize_trace"] == 1
     assert not tracer.errors

@@ -129,6 +129,18 @@ class TestCounts:
         assert "error: line 3: sample at t=0.01 exceeds" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_zero_time_is_written_0(self, tmp_path):
+        src = tmp_path / "samples.csv"
+        src.write_text("t,ax,ay,az\n-0.0,0,0,1\n0.01,2.5,0,1\n0.02,0,-2.5,1\n")
+        out = tmp_path / "counts.csv"
+        assert main(["counts", str(src), "-o", str(out)]) == 0
+        pipeline = CountsPipeline.from_spec()
+        rows = [(s.t, pipeline.process_sample(s).value, *pipeline.epoch_sums)
+                for s in read_samples(src)]
+        assert rows[0][0] == 0.0 and str(rows[0][0]) == "-0.0"
+        assert out.read_text() == serialize_counts(rows)
+        assert out.read_text().splitlines()[1].startswith("0,")
+
     def test_reruns_are_byte_identical(self, sample_file, tmp_path):
         out_a = tmp_path / "a.csv"
         out_b = tmp_path / "b.csv"
@@ -223,6 +235,15 @@ class TestBlockCounting:
 
         monkeypatch.setattr(RawSample, "__new__", refuse)
         assert main([command, str(sample_file), "-o", str(tmp_path / "out.csv")]) == 0
+
+    def test_detect_scans_blocks_without_a_tick(self, sample_file, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("called InactivityDetector.tick")
+
+        monkeypatch.setattr(InactivityDetector, "tick", refuse)
+        out = tmp_path / "out.csv"
+        assert main(["detect", str(sample_file), "-o", str(out)]) == 0
+        assert [e.kind for e in parse_events(out.read_text())][:2] == ["reset", "vib_start"]
 
     def test_late_refusal_prints_nothing_to_stdout(self, late_refusal_file, capsys):
         assert main(["counts", str(late_refusal_file)]) == 1

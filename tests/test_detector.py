@@ -1,5 +1,9 @@
+from itertools import pairwise
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stillwatch import (
     RESET,
@@ -176,6 +180,22 @@ class TestOracleEquivalence:
         got = [(round(e.t / TICK), e.kind) for e in events]
         assert got == [(k, kind) for k, kind in oracle]
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_block_scan_matches_arithmetic_oracle(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        cfg = DetectorConfig()
+        n = int(rng.integers(500, 4000))
+        vms = random_vm_trace(rng, n)
+        det = InactivityDetector(cfg)
+        events = []
+        for lo, hi in pairwise([0, *sorted(rng.integers(0, n, 3).tolist()), n]):
+            events += det.process_block(vms[lo:hi], np.arange(lo, hi) * TICK)
+        oracle = detector_event_oracle(
+            vms > cfg.count_threshold, cfg.inactivity_ticks, cfg.vibration_ticks
+        )
+        got = [(round(e.t / TICK), e.kind) for e in events]
+        assert got == [(k, kind) for k, kind in oracle]
+
     @pytest.mark.parametrize("seed", range(4))
     def test_timing_invariants(self, seed):
         rng = np.random.default_rng(200 + seed)
@@ -206,3 +226,100 @@ class TestOracleEquivalence:
                     assert above[e]  # early end only on movement
         # motor never on when the current tick showed movement
         assert not (motor & above).any()
+
+
+# Counts that matter to the movement rule at the stock threshold of 125:
+# rest, quiet, the threshold itself, the next double above it, and bursts.
+VM_LEVELS = (0.0, 40.0, 125.0, float(np.nextafter(125.0, np.inf)), 126.0, 300.0)
+
+
+def fast_config(inactivity_ticks: int, vibration_ticks: int) -> DetectorConfig:
+    return DetectorConfig(inactivity_seconds=inactivity_ticks * TICK,
+                          vibration_seconds=vibration_ticks * TICK)
+
+
+@st.composite
+def split_streams(draw):
+    """(vms, config, blocks): a stream of stretches at the levels above, cut into
+    blocks (lo, hi, as_block, change). Each block runs through `tick` or
+    `process_block`; `change`, if any, is set before it, as a select press
+    does: a new config, and with `True` the timer reference moved to the seam."""
+    configs = st.builds(fast_config, st.integers(1, 30), st.integers(1, 20))
+    stretches = draw(st.lists(st.tuples(st.sampled_from(VM_LEVELS), st.integers(1, 40)),
+                              max_size=30))
+    vms = [level for level, length in stretches for _ in range(length)]
+    cuts = sorted(draw(st.sets(st.integers(0, len(vms)), max_size=8)) | {0, len(vms)})
+    blocks = [(lo, hi, draw(st.booleans()), draw(st.none() | st.tuples(configs, st.booleans())))
+              for lo, hi in pairwise(cuts)]
+    return vms, draw(configs), blocks
+
+
+def state(det):
+    return [getattr(det, name) for name in STATE_SLOTS]
+
+
+class TestProcessBlock:
+    @settings(max_examples=300, deadline=None)
+    @given(split_streams())
+    # A shorter inactivity time set without moving the reference, long overdue
+    # at the seam: the movement there resets the timer, no vibration starts.
+    @example(([0.0] * 20 + [300.0] + [0.0] * 9, fast_config(30, 5),
+              [(0, 20, False, None), (20, 30, True, (fast_config(5, 5), False))]))
+    def test_any_split_and_mix_equals_tick_alone(self, case):
+        vms, cfg, blocks = case
+        alone, mixed = InactivityDetector(cfg), InactivityDetector(cfg)
+        want, got = [], []
+        for lo, hi, as_block, change in blocks:
+            if change is not None:
+                for det in (alone, mixed):
+                    det.cfg = change[0]
+                    if change[1]:
+                        det.last_reset_tick = det.tick_index
+            for k in range(lo, hi):
+                want.extend(alone.tick(vms[k], k * TICK).events)
+            if as_block:
+                got += mixed.process_block(np.array(vms[lo:hi]), np.arange(lo, hi) * TICK)
+            else:
+                for k in range(lo, hi):
+                    got.extend(mixed.tick(vms[k], k * TICK).events)
+            assert state(mixed) == state(alone), (lo, hi)
+        assert got == want
+
+    def test_stamps_events_with_the_given_times(self):
+        det = InactivityDetector(fast_config(3, 2))
+        vms = [0.0, 200.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+        events = det.process_block(vms, [10.0 + k for k in range(7)])
+        assert [(e.t, e.kind) for e in events] == [
+            (11.0, RESET), (14.0, VIB_START), (16.0, VIB_END), (16.0, RESET)]
+        assert all(type(e.t) is float for e in events)
+        assert state(det) == [False, 7, 6, 4, False]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_bad_count_is_refused_as_tick_refuses_it(self, bad):
+        det = InactivityDetector(fast_config(3, 2))
+        det.process_block([0.0, 200.0, 0.0, 0.0, 0.0], np.arange(5) * TICK)
+        before = state(det)
+        vms = np.zeros(10)
+        vms[6], vms[8] = bad, -2.0  # the first bad count is named
+        with pytest.raises(ValueError) as refused:
+            det.process_block(vms, np.arange(5, 15) * TICK)
+        with pytest.raises(ValueError) as by_tick:
+            InactivityDetector().tick(bad, 0.0)
+        assert str(refused.value) == str(by_tick.value)
+        assert state(det) == before
+
+    @pytest.mark.parametrize("n_times", [0, 9, 11])
+    def test_length_mismatch_is_refused(self, n_times):
+        det = InactivityDetector()
+        before = state(det)
+        with pytest.raises(ValueError, match=f"{n_times} timestamps for 10 vm counts"):
+            det.process_block(np.zeros(10), np.arange(n_times) * TICK)
+        assert state(det) == before
+
+    def test_empty_block_changes_nothing(self):
+        det = InactivityDetector(fast_config(3, 2))
+        det.process_block([200.0, 0.0, 0.0, 0.0, 0.0], np.arange(5) * TICK)
+        before = state(det)
+        assert det.process_block([], []) == []
+        assert det.process_block(np.empty(0), np.empty(0)) == []
+        assert state(det) == before

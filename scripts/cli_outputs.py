@@ -4,11 +4,13 @@ Usage: python3 scripts/cli_outputs.py OUT_DIR
 
 The inputs are fixed: a 300 s sample CSV drawn with numpy (rest, desk work,
 walking and saturating movement), a custom configuration and a scenario with
-motor feedback and button presses, all written as text here rather than by
+motor feedback and button presses, and a second scenario whose presses and
+movement meet the watch's vibrations, all written as text here rather than by
 stillwatch. From them the script runs `counts` and `detect` (stock and custom
 configuration; `detect` also on a CRLF copy of the samples, which must give
-the same events), `simulate` (trace and events, both configurations, and the
-stock trace once more from stdout, which must be the same bytes),
+the same events), `simulate` (trace and events, both configurations, the
+stock trace once more from stdout, which must be the same bytes, and the
+second scenario under the stock configuration),
 `design-filter --order 2/4/6` and `figure3`, and round-trips the configuration
 and scenario files through their parsers and serializers. `errors.txt` holds
 the exit code and stderr of each command refused for a fixed bad input: sample
@@ -119,6 +121,59 @@ t = 70.0
 button = red
 """
 
+# The closed loop's seams under the stock configuration: a select and a red
+# toggle during the 10 s vibration, a burst that cuts it short, 60 s of rest
+# under option 2 (6,000 ticks), a vibration that runs out, and a power press
+# during the last vibration, whose motor feeds back once more.
+SEAMS_SCENARIO = """\
+[scenario]
+duration_seconds = 100
+seed = 2021
+noise_sigma_g = 0.003
+
+[segment]
+kind = rest
+start = 0
+end = 12.5
+
+[segment]
+kind = burst
+start = 12.5
+end = 15.5
+amplitude_g = 3.0
+center_frequency_hz = 1.0
+
+[segment]
+kind = rest
+start = 15.5
+end = 100
+
+[motor_feedback]
+enabled = true
+amplitude_g = 0.5
+frequency_hz = 20
+
+[button]
+t = 11.0
+button = select
+
+[button]
+t = 11.5
+button = red
+
+[button]
+t = 20.0
+button = select
+
+[button]
+t = 86.0
+button = select
+
+[button]
+t = 98.01
+button = power
+"""
+
 
 def late_off_grid_csv() -> str:
     """A full first chunk of 1,024 rows on the sample grid, then an off-grid t
@@ -225,6 +280,9 @@ def write_tree(out_dir: Path) -> None:
         run(["simulate", scenario, *config, "-o", str(out_dir / f"simulate_{name}_trace.csv"),
              "--events", str(out_dir / f"simulate_{name}_events.csv")])
     write(out_dir / "simulate_stdout_trace.csv", run(["simulate", scenario]))
+    seams = write(inputs / "scenario_seams.txt", SEAMS_SCENARIO)
+    run(["simulate", seams, "-o", str(out_dir / "simulate_seams_trace.csv"),
+         "--events", str(out_dir / "simulate_seams_events.csv")])
     # The copy stays out of the tree: it is the samples input with CRLF line
     # ends, which reach `parse_samples` as written and take its numpy path.
     # So do the bad inputs, whose refusals errors.txt holds.

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import shutil
 import sys
@@ -34,6 +35,7 @@ from . import io as formats
 from .counts import CountsPipeline
 from .detector import InactivityDetector
 from .filters import FilterSpec, design_bandpass_cascade
+from . import sim
 from .sim import canonical_scenario, run
 
 __all__ = ["main", "app"]
@@ -62,7 +64,7 @@ def _load_config(path: str | None) -> formats.ConfigFile:
 
 
 def _count_file(path: str, config: formats.ConfigFile):
-    """Count a sample file in chunks of `_BLOCK_ROWS` lines, yielding each chunk's
+    """Count a sample file in chunks of `sim._BLOCK_ROWS` lines, yielding each chunk's
     (t, vm, epoch sums); memory stays that of one chunk, whatever the file's length.
 
     Lines end at LF alone, as in `parse_samples`, which reads each chunk under
@@ -76,7 +78,7 @@ def _count_file(path: str, config: formats.ConfigFile):
         header = _decode(fh.readline(), 1)
         first = 2  # the chunk's first line
         while True:
-            chunk = list(itertools.islice(fh, formats._BLOCK_ROWS))
+            chunk = list(itertools.islice(fh, sim._BLOCK_ROWS))
             try:
                 block = formats.parse_samples(header + b"".join(chunk).decode("utf-8"), rate)
                 vm, sums = pipeline.process_block(block)
@@ -92,7 +94,7 @@ def _count_file(path: str, config: formats.ConfigFile):
                         raise formats.ParseError(str(exc), line) from None
                 raise
             yield block[:, 0], vm, sums
-            if len(chunk) < formats._BLOCK_ROWS:
+            if len(chunk) < sim._BLOCK_ROWS:
                 return
             first += len(chunk)
 
@@ -164,7 +166,10 @@ def _cmd_figure3(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: a build takes about a millisecond, and what it
+    # leaves is cyclic garbage, which only a collection of the heap frees.
     parser = argparse.ArgumentParser(
         prog="stillwatch",
         description="Activity-count pipeline and inactivity-alert watch simulator.",

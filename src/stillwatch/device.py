@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Literal, NamedTuple
 
+import numpy as np
+
 from ._checks import require_finite, whole_ticks
 from .detector import DetectorConfig, DetectorEvent, InactivityDetector, detector_tick
 
@@ -177,6 +179,37 @@ class Device:
             t, output.motor_on, True, blue, red, self.selected_option,
             detector.timer_seconds,
         )
+
+    def _tick_block(self, vm, t) -> tuple[np.ndarray, ...]:
+        """`tick` over a block of counts, stamped with `t`; returns the timer,
+        motor, white, blue, red and option columns, in trace order. The caller
+        ends the block where the motor may change: no row but the last turns it
+        on or off."""
+        n = len(vm)
+        if not self.power:
+            off = np.zeros(n, dtype=bool)
+            return np.zeros(n), off, off, off, off, np.full(n, self.selected_option)
+        detector = self._detector
+        cfg, k0, ref, motor_before = (detector.cfg, detector.tick_index,
+                                      detector.last_reset_tick, detector.vibrating)
+        self.events += detector.process_block(vm, t)
+        k = np.arange(k0, k0 + n)
+        motor = np.full(n, motor_before)
+        motor[-1] = detector.vibrating
+        # A row's timer reference is its last movement row; on the last row, the
+        # detector's own, which a vibration's end moves too.
+        refs = np.maximum.accumulate(np.where(vm > cfg.count_threshold, k, ref))
+        refs[-1] = detector.last_reset_tick
+        idle = k - refs
+        seconds = np.minimum(np.where(idle > 0, idle * cfg.tick_seconds, 0.0),
+                             cfg.inactivity_seconds)
+        timer = np.where(motor, cfg.inactivity_seconds, seconds)
+        period = self._flash_period
+        blue = (k < self._blue_end) & ((k - self._blue_start) % period < period / 2.0)
+        red = motor & self.red_led_enabled & (
+            (k - detector.vibration_start_tick) % period < period / 2.0
+        )
+        return timer, motor, np.ones(n, dtype=bool), blue, red, np.full(n, self.selected_option)
 
 
 def replay_event_log(

@@ -55,6 +55,7 @@ import numpy as np
 from .counts import CountsConfig, check_sample_step
 from .detector import DetectorEvent, EventKind
 from .device import Button, DeviceSnapshot
+from . import sim
 from .sim import (
     TRACE_COLUMNS,
     AmbientVibration,
@@ -178,11 +179,6 @@ def _csv_rows(text: str, header: str) -> list[tuple[int, list[str]]]:
     return rows
 
 
-# Rows at a time of a long stream, written by `serialize_trace` and read by
-# `cli._count_file`, so neither holds a whole file's text.
-_BLOCK_ROWS = 1024
-
-
 def _format_rows(header: str, formats: Sequence[Callable], rows: Iterable[Sequence]) -> str:
     """The CSV text of the header and rows, each value written by its column's format."""
     texts = [map(fmt, values) for fmt, values in zip(formats, zip(*rows))]
@@ -286,8 +282,9 @@ def serialize_trace(trace: SimulationTrace, out: TextIO) -> None:
     time: the text held at once is one block's, whatever the trace's length."""
     arrays = [getattr(trace, name) for name, _ in TRACE_COLUMNS]
     out.write(TRACE_HEADER + "\n")
-    for start in range(0, len(trace), _BLOCK_ROWS):
-        block = [array[start:start + _BLOCK_ROWS] for array in arrays]
+    rows = sim._BLOCK_ROWS
+    for start in range(0, len(trace), rows):
+        block = [array[start:start + rows] for array in arrays]
         columns = [(c + 0.0 if c.dtype == np.float64 else c).tolist() for c in block]
         out.write("\n".join(map(_TRACE_ROW.__mod__, zip(*columns))))
         out.write("\n")

@@ -16,10 +16,20 @@ takes row k % 256 of block k // 256, the block index serving as the counter
 of a counter-keyed generator. A sample therefore depends only on the
 scenario, the seed, the tick and the motor state, never on query order or
 scenario length, and one generator serves 256 ticks instead of one.
+
+`run` advances the watch a chunk of ticks at a time, each chunk ending at the
+first tick where the motor could turn on or off, so the feedback is the same
+on every sample of a chunk. The chunk's samples are synthesized as arrays,
+counted by `CountsPipeline.process_block` and fed to the watch's detector by
+`InactivityDetector.process_block`; the LED and timer columns follow from
+whole-tick arithmetic. Each column is bit for bit what the watch gives one
+tick at a time: `ScenarioSampler.sample`, then `process_sample`, then
+`Device.tick`.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field, fields
 from typing import Any, Literal, get_args
@@ -220,9 +230,38 @@ def _segment_signal(segment: Segment, t: float) -> tuple[float, float, float]:
     return (value, value, value)
 
 
+def _map(func, values: np.ndarray) -> np.ndarray:
+    """`func` of each value, through `math` rather than numpy: numpy's sine and
+    cosine may differ in the last bit from host to host."""
+    return np.fromiter(map(func, values.tolist()), float, len(values))
+
+
+def _segment_rows(segment: Segment, t: np.ndarray, xyz: np.ndarray) -> None:
+    """`_segment_signal` at each time of `t`, bit for bit, into the (n, 3)
+    array `xyz`, which holds zeros; a Rest leaves them."""
+    if isinstance(segment, Rest):
+        return
+    local = t - segment.start
+    if isinstance(segment, BurstMovement):
+        u = local / (segment.end - segment.start)
+        envelope = 0.5 - 0.5 * _map(math.cos, 2.0 * math.pi * u)
+        value = (segment.amplitude_g * envelope
+                 * _map(math.sin, 2.0 * math.pi * segment.center_frequency_hz * local))
+    else:
+        value = segment.amplitude_g * _map(math.sin, 2.0 * math.pi * segment.frequency_hz * local)
+    if isinstance(segment, SineMovement):
+        xyz[:, _AXIS_INDEX[segment.axis]] = value
+    else:
+        xyz[:] = value[:, None]
+
+
 # Ticks per noise block. Part of the definition of the noise, not a setting:
 # changing it changes every noisy sample.
 _NOISE_BLOCK = 256
+
+# Most ticks `run` advances at once, and rows a long stream is read or written
+# at a time (`io.serialize_trace`, `cli._count_file`): memory for one block.
+_BLOCK_ROWS = 1024
 
 
 class ScenarioSampler:
@@ -269,9 +308,10 @@ class ScenarioSampler:
                     f"button press at t={press.t} comes after the last tick, at t={last}"
                 )
             self.presses.setdefault(k, []).append(press.button)
+        self._starts = np.array([segment.start for segment in scenario.segments])
         # The one noise block held: its index and its rows, drawn on first use.
         self._block_index = -1
-        self._block: list[list[float]] = []
+        self._block = np.empty((0, 3))
 
     def _segment_at(self, t: float) -> Segment:
         # Last segment whose start is <= t; tiling guarantees it covers t.
@@ -292,14 +332,9 @@ class ScenarioSampler:
         t = k / self.sample_rate_hz
         segment = self._segment_at(t)
         x, y, z = _segment_signal(segment, t)
-        sigma = self.scenario.noise_sigma_g
-        if sigma:
+        if self.scenario.noise_sigma_g:
             b, row = divmod(k, _NOISE_BLOCK)
-            if b != self._block_index:
-                rng = np.random.default_rng((self.scenario.seed, b))
-                self._block = rng.normal(0.0, sigma, (_NOISE_BLOCK, 3)).tolist()
-                self._block_index = b
-            nx, ny, nz = self._block[row]
+            nx, ny, nz = self._noise(b)[row].tolist()
         else:
             nx = ny = nz = 0.0
         x += nx
@@ -312,6 +347,40 @@ class ScenarioSampler:
             y += tone
             z += tone
         return RawSample(t, x, y, z)
+
+    def _noise(self, b: int) -> np.ndarray:
+        """Noise block b, (256, 3), held until another block is drawn."""
+        if b != self._block_index:
+            rng = np.random.default_rng((self.scenario.seed, b))
+            self._block = rng.normal(0.0, self.scenario.noise_sigma_g, (_NOISE_BLOCK, 3))
+            self._block_index = b
+        return self._block
+
+    def _rows(self, start: int, stop: int, motor_on: bool) -> np.ndarray:
+        """`sample(k, motor_on)` for each tick k in [start, stop), start < stop,
+        bit for bit: an (n, 4) array of t, ax, ay, az rows."""
+        rows = np.zeros((stop - start, 4))
+        t = rows[:, 0] = np.arange(start, stop) / self.sample_rate_hz
+        xyz = rows[:, 1:]
+        first = int(self._starts.searchsorted(t[0], "right")) - 1
+        last = int(self._starts.searchsorted(t[-1], "right"))
+        ends = [*t.searchsorted(self._starts[first + 1:last]).tolist(), len(t)]
+        lo = 0
+        for segment, hi in zip(self.scenario.segments[first:last], ends):
+            _segment_rows(segment, t[lo:hi], xyz[lo:hi])
+            lo = hi
+        noise = np.zeros((len(t), 3))
+        if self.scenario.noise_sigma_g:
+            offset = start % _NOISE_BLOCK
+            blocks = range(start // _NOISE_BLOCK, (stop - 1) // _NOISE_BLOCK + 1)
+            noise = np.concatenate([self._noise(b) for b in blocks])[offset:offset + len(t)]
+        noise[:, 2] += 1.0  # gravity
+        xyz += noise
+        feedback = self.scenario.motor_feedback
+        if motor_on and feedback.enabled:
+            tone = feedback.amplitude_g * _map(math.sin, 2.0 * math.pi * feedback.frequency_hz * t)
+            xyz += tone[:, None]
+        return rows
 
 
 def _column(dtype: type) -> Any:
@@ -393,36 +462,63 @@ class ConfigFile:
 
 
 def run(scenario: Scenario, config: ConfigFile | None = None) -> SimulationTrace:
-    """Simulate the whole watch over a scenario.
+    """Simulate the whole watch over a scenario. Without a config, every
+    tunable takes its default.
 
-    The loop per tick: synthesize the raw sample (motor state from the
-    previous tick drives the feedback), convert it to a VM count, feed the
-    watch, record everything. Without a config, every tunable takes its default.
+    The motor's state at one tick drives the feedback on the next sample, so
+    the loop runs in chunks that end where the motor could change: with the
+    motor off, at the tick where the timer could first run out (movement only
+    postpones it); with it on, at the tick where the vibration runs out, or
+    at the first movement, which ends it sooner and cuts the chunk there. A
+    chunk also ends before a button press and after `_BLOCK_ROWS` ticks. Each
+    chunk is synthesized, counted and fed to the watch as arrays, and its
+    columns go into the trace's arrays.
     """
     config = config or ConfigFile()
     sampler = ScenarioSampler(scenario, config.counts.sample_rate_hz)
     pipeline = CountsPipeline.from_spec(config.filter_spec, config.counts, config.filter_order)
     device = Device(config.device, config.detector)
+    detector = device._detector
 
     n = sampler.n_ticks
-    record = np.empty(n, dtype=list(TRACE_COLUMNS))
-    motor_prev = False
-    for k in range(n):
-        t = k / sampler.sample_rate_hz
-        for button in sampler.presses.get(k, ()):
-            device.press_button(button, t)
-        sample = sampler.sample(k, motor_prev)
-        count = pipeline.process_sample(sample)
-        snap = device.tick(count.value, t)
-        motor_prev = snap.motor
-        sx, sy, sz = pipeline.epoch_sums
-        # One value per TRACE_COLUMNS entry, in that order.
-        record[k] = (
-            t, sample.ax, sample.ay, sample.az, count.value, sx, sy, sz,
-            snap.timer_seconds, snap.motor, snap.white, snap.blue, snap.red, snap.option,
-        )
-    columns = {name: record[name] for name, _ in TRACE_COLUMNS}
-    return SimulationTrace(**columns, events=tuple(device.events))
+    trace = {name: np.empty(n, dtype) for name, dtype in TRACE_COLUMNS}
+    press_ticks = [*sorted(sampler.presses), n]
+    k = p = 0
+    motor = False  # at tick k - 1, so on the feedback of tick k
+    while k < n:
+        if press_ticks[p] == k:
+            for button in sampler.presses[k]:
+                device.press_button(button, k / sampler.sample_rate_hz)
+            p += 1
+        cfg = detector.cfg
+        stop = min(press_ticks[p], k + _BLOCK_ROWS)
+        if not device.power:
+            stop = k + 1 if motor else stop  # the last tick's motor still feeds back once
+        elif motor:
+            stop = min(stop, detector.vibration_start_tick + cfg.vibration_ticks + 1)
+        else:
+            stop = min(stop, max(detector.last_reset_tick + cfg.inactivity_ticks, k) + 1)
+        rows = sampler._rows(k, stop, motor)
+        # The first row is the one whose motor state may differ from the row
+        # before's. `_rows` gives it bit for bit, but it is drawn by `sample`,
+        # the per-tick rule of which motor state feeds which sample, so a fault
+        # planted there (perfbench's late-tone gate test) reaches the trace.
+        rows[0] = sampler.sample(k, motor)
+        saved = copy.deepcopy(pipeline) if motor and device.power else None
+        vm, sums = pipeline.process_block(rows)
+        if saved is not None:
+            moved = np.flatnonzero(vm[:-1] > cfg.count_threshold)
+            if len(moved):  # the vibration ends there: no feedback after it
+                stop = k + int(moved[0]) + 1
+                rows = rows[:stop - k]
+                pipeline = saved
+                vm, sums = pipeline.process_block(rows)
+        columns = (*rows.T, vm, *sums.T, *device._tick_block(vm, rows[:, 0]))
+        for (name, _), column in zip(TRACE_COLUMNS, columns):
+            trace[name][k:stop] = column
+        motor = bool(trace["motor"][stop - 1])
+        k = stop
+    return SimulationTrace(**trace, events=tuple(device.events))
 
 
 def canonical_scenario(

@@ -4,7 +4,8 @@ Everything here is deliberately written against the *definitions* rather than
 the library internals: filtering via a direct-form I loop (and scipy), window
 sums by exact re-summation (`math.fsum`) of each trailing window, and
 detector event instants by arithmetic scanning of the movement ticks instead
-of a per-tick state machine.
+of a per-tick state machine. The closed loop's reference is the watch run one
+tick at a time through the streaming API (`reference_run`).
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ import math
 import numpy as np
 from scipy import signal
 
-from stillwatch import BiquadCoefficients, CountsConfig
+from stillwatch import (BiquadCoefficients, CountsConfig, CountsPipeline, Device, ScenarioSampler,
+                        SimulationTrace)
+from stillwatch.sim import TRACE_COLUMNS, ConfigFile
 
 
 def df1_filter(coeffs: BiquadCoefficients, xs) -> list[float]:
@@ -149,3 +152,30 @@ def detector_event_oracle(above, inactivity_ticks: int, vibration_ticks: int,
         ref = end
         start = end + 1
     return events
+
+
+def reference_run(scenario, config: ConfigFile | None = None) -> SimulationTrace:
+    """`stillwatch.run` one tick at a time: press the tick's buttons, synthesize
+    its sample (the motor state of the tick before drives the feedback), count
+    it, feed the watch and record every column."""
+    config = config or ConfigFile()
+    sampler = ScenarioSampler(scenario, config.counts.sample_rate_hz)
+    pipeline = CountsPipeline.from_spec(config.filter_spec, config.counts, config.filter_order)
+    device = Device(config.device, config.detector)
+    record = np.empty(sampler.n_ticks, dtype=list(TRACE_COLUMNS))
+    motor_prev = False
+    for k in range(sampler.n_ticks):
+        t = k / sampler.sample_rate_hz
+        for button in sampler.presses.get(k, ()):
+            device.press_button(button, t)
+        sample = sampler.sample(k, motor_prev)
+        count = pipeline.process_sample(sample)
+        snap = device.tick(count.value, t)
+        motor_prev = snap.motor
+        sx, sy, sz = pipeline.epoch_sums
+        record[k] = (
+            t, sample.ax, sample.ay, sample.az, count.value, sx, sy, sz,
+            snap.timer_seconds, snap.motor, snap.white, snap.blue, snap.red, snap.option,
+        )
+    columns = {name: record[name] for name, _ in TRACE_COLUMNS}
+    return SimulationTrace(**columns, events=tuple(device.events))

@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stillwatch import SELECT, canonical_scenario, cli, device
+from stillwatch import (SELECT, CountsPipeline, ScenarioSampler, canonical_scenario, cli,
+                        device)
 from stillwatch.io import serialize_samples, serialize_scenario
 
 from conftest import make_samples
@@ -26,6 +27,7 @@ PERFBENCH = ROOT / "perfbench"
 WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 DETECT_SAMPLES = 300  # 3 s at 100 Hz
+STREAM_TICKS = 300  # 3 s at 100 Hz
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +69,14 @@ def test_traced_session_reaches_every_span(spans, scenario_file, tmp_path):
         assert cli.main(["detect", str(samples), "-o", str(tmp_path / "detect.csv")]) == 0
         assert cli.main(["simulate", str(scenario_file), "-o", str(tmp_path / "trace.csv"),
                          "--events", str(tmp_path / "events.csv")]) == 0
-        device.Device().press_button(SELECT, 0.0)
+        # The commands run blocks; the streaming names are reached by a stream
+        # of their own, one tick at a time, as the stream_ticks workload runs.
+        sampler = ScenarioSampler(canonical_scenario(12.0))
+        pipeline, watch = CountsPipeline.from_spec(), device.Device()
+        for k in range(STREAM_TICKS):
+            if k == STREAM_TICKS // 2:
+                watch.press_button(SELECT, k / 100.0)
+            watch.tick(pipeline.process_sample(sampler.sample(k)).value, k / 100.0)
     finally:
         tracer.uninstall()
 
@@ -75,9 +84,9 @@ def test_traced_session_reaches_every_span(spans, scenario_file, tmp_path):
     assert len(calls) == 12
     assert all(n >= 1 for n in calls.values()), calls
     # The watch reaches its detector through `stillwatch.device.detector_tick`,
-    # once per `Device.tick`; the detect command scans blocks with
+    # once per `Device.tick`; the detect and simulate commands scan blocks with
     # `InactivityDetector.process_block`, which calls no traced name.
-    assert calls["detector.tick"] == calls["device.tick"]
+    assert calls["detector.tick"] == calls["device.tick"] == STREAM_TICKS
     # One formatting call per simulate, so the per-row figure stays per row.
     assert calls["io.serialize_trace"] == 1
     assert not tracer.errors

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import gc
 import io
 import os
@@ -15,8 +16,11 @@ from hypothesis import strategies as st
 
 import stillwatch
 from stillwatch import (
+    ButtonPress,
     CountsPipeline,
+    Device,
     InactivityDetector,
+    MotorFeedback,
     RawSample,
     Scenario,
     ScenarioSampler,
@@ -24,6 +28,7 @@ from stillwatch import (
     run,
 )
 from stillwatch import io as formats
+from stillwatch import sim
 from stillwatch.cli import main
 from stillwatch.io import (
     TRACE_HEADER,
@@ -408,11 +413,11 @@ class TestChunking:
         src.write_bytes(data)
         config = parse_config(FAST_DETECTOR.decode())
         for command in ("counts", "detect"):
-            with mock.patch.object(formats, "_BLOCK_ROWS", 1):
+            with mock.patch.object(sim, "_BLOCK_ROWS", 1):
                 want = cli_outcome(command, src, work / "fast.cfg")
             assert want[2] == ""
             for rows in range(2, data.count(b"\n") + 2):
-                with mock.patch.object(formats, "_BLOCK_ROWS", rows):
+                with mock.patch.object(sim, "_BLOCK_ROWS", rows):
                     assert cli_outcome(command, src, work / "fast.cfg") == want, rows
             # With one fault at most, the first bad line is the whole file's. A
             # file with a byte that is not UTF-8 has no whole text to compare.
@@ -500,6 +505,36 @@ class TestSimulate:
         assert stdout.count(b"\n") == 1 + 1200  # the header, then two blocks of rows
         if events:
             assert (tmp_path / "stdout_events.csv").read_bytes() == events_path.read_bytes()
+
+    def test_simulate_runs_blocks_without_a_tick(self, tmp_path, monkeypatch):
+        scenario = dataclasses.replace(
+            canonical_scenario(30.0, motor_feedback=MotorFeedback(True)),
+            button_presses=(ButtonPress(12.0, "red"), ButtonPress(20.0, "select"),
+                            ButtonPress(28.0, "power")),
+        )
+        scenario_path = tmp_path / "scenario.txt"
+        scenario_path.write_text(serialize_scenario(scenario))
+
+        def refuse(*args):
+            raise AssertionError("ran a tick")
+
+        for owner, name in ((CountsPipeline, "process_sample"), (Device, "tick")):
+            monkeypatch.setattr(owner, name, refuse)
+        # `sample` draws the first row of each chunk alone.
+        sample, drawn = ScenarioSampler.sample, []
+
+        def seam(self, k, motor_on=False):
+            drawn.append(k)
+            return sample(self, k, motor_on)
+
+        monkeypatch.setattr(ScenarioSampler, "sample", seam)
+        events = tmp_path / "events.csv"
+        assert main(["simulate", str(scenario_path), "-o", str(tmp_path / "trace.csv"),
+                     "--events", str(events)]) == 0
+        kinds = [e.kind for e in parse_events(events.read_text())]
+        assert kinds == ["reset", "vib_start", "vib_end", "reset"]
+        # 3,000 ticks in 7 chunks, each ending at a press or a motor change.
+        assert drawn == [0, 1001, 1200, 1769, 2000, 2269, 2800]
 
     def test_zero_duration_gives_the_header_alone(self, tmp_path, capsys):
         scenario_path = tmp_path / "scenario.txt"

@@ -10,6 +10,7 @@ SCRIPT = ROOT / "scripts" / "cli_outputs.py"
 GOLDEN_EVENTS = ROOT / "tests" / "data" / "figure3_events.csv"
 TREE = {
     "inputs/samples.csv", "inputs/custom.cfg", "inputs/scenario.txt",
+    "inputs/scenario_seams.txt", "simulate_seams_trace.csv", "simulate_seams_events.csv",
     "counts_default.csv", "counts_custom.csv", "detect_default.csv", "detect_custom.csv",
     "detect_crlf.csv",
     "simulate_default_trace.csv", "simulate_default_events.csv",

@@ -302,6 +302,21 @@ class CountsPipeline:
             )
         return cls(design_bandpass_cascade(filter_spec, order), config)
 
+    def _save(self) -> tuple:
+        """The stream's state, for one `_restore`. The rings are copied: the
+        row-by-row path of `process_block` writes them in place."""
+        return ([(b, b._s1, b._s2) for chain in self._filters for b in chain],
+                [(w, w._buf.copy(), w._idx, w._sum) for w in self._windows],
+                self._last_t, self._sums)
+
+    def _restore(self, saved: tuple) -> None:
+        """Put the stream back in the state that `_save` returned."""
+        biquads, windows, self._last_t, self._sums = saved
+        for biquad, s1, s2 in biquads:
+            biquad._s1, biquad._s2 = s1, s2
+        for window, buf, idx, total in windows:
+            window._buf, window._idx, window._sum = buf, idx, total
+
     @property
     def epoch_sums(self) -> tuple[float, float, float]:
         """Per-axis epoch sums after the most recent sample."""

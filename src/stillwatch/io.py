@@ -27,9 +27,9 @@ one float64 array of t, ax, ay, az rows. numpy reads the body, and the
 array's values and timestamp grid are checked as arrays. A file that fails
 any of that is parsed again line by line, and that parser alone decides: it
 accepts what float() reads, which includes every token numpy does, or names
-the first bad line. The wide trace is written one %-formatted row at a time,
-to a text stream in blocks of rows rather than returned as a string: a
-simulation holds its trace arrays (84 bytes per tick), never their whole text.
+the first bad line. The counts and the wide trace are written a block of
+%-formatted rows at a time, the trace to a text stream: a simulation holds
+its trace arrays (84 bytes per tick), never their whole text.
 
 Formats:
   samples        t,ax,ay,az                     raw accelerometer stream
@@ -185,6 +185,26 @@ def _format_rows(header: str, formats: Sequence[Callable], rows: Iterable[Sequen
     return "\n".join([header, *map(",".join, zip(*texts))]) + "\n"
 
 
+# Counts and trace rows, one %-format per block of `sim._BLOCK_ROWS` rows: %.9g
+# writes a float as _g9 does once `+ 0` turns -0.0 into 0.0, %d a flag (an int
+# after `+ 0`) as 0/1 and an option as its digit. A column constant over the block
+# is formatted once, into the format's text; a NaN equals nothing, so is per row.
+def _csv_blocks(columns: Sequence[np.ndarray]) -> Iterable[str]:
+    """The CSV rows of equal-length columns, one block of rows at a time."""
+    for start in range(0, len(columns[0]), sim._BLOCK_ROWS):
+        formats, varying = [], []
+        for column in columns:
+            block = column[start:start + sim._BLOCK_ROWS] + 0
+            directive = "%.9g" if block.dtype == np.float64 else "%d"
+            if (block == block[0]).all():
+                formats.append(directive % block[0])
+            else:
+                formats.append(directive)
+                varying.append(block.tolist())
+        row = ",".join(formats) + "\n"
+        yield "".join(map(row.__mod__, zip(*varying))) if varying else row * len(block)
+
+
 # --------------------------------------------------------------------------
 # Raw sample streams
 
@@ -250,11 +270,9 @@ def serialize_samples(samples: Iterable[Sequence[float]]) -> str:
 
 def serialize_counts(rows: Sequence[Sequence[float]]) -> str:
     """Write rows of t, vm, sx, sy, sz: sequences of five floats, or an (n, 5)
-    array. One %.9g format per row, as `serialize_trace` writes; `+ 0.0` turns
-    -0.0 into 0.0 first, so each value reads as `_g9` writes it."""
-    columns = (np.asarray(rows, dtype=float) + 0.0).T.tolist()
-    lines = map("%.9g,%.9g,%.9g,%.9g,%.9g".__mod__, zip(*columns))
-    return "\n".join([COUNTS_HEADER, *lines]) + "\n"
+    array. Each value reads as `_g9` writes it."""
+    columns = np.asarray(rows, dtype=float).reshape(len(rows), 5).T
+    return "".join([COUNTS_HEADER + "\n", *_csv_blocks(columns)])
 
 
 def parse_events(text: str) -> list[DetectorEvent]:
@@ -271,23 +289,11 @@ def serialize_events(events: Iterable[DetectorEvent]) -> str:
 # --------------------------------------------------------------------------
 # Wide simulation traces
 
-# One %-format per trace row. %.9g writes a float as _g9 does, except -0.0,
-# which `+ 0.0` turns into 0.0 first; %d writes a flag as 0/1 and an option as
-# its digit, as _bool01 and str do in the snapshot columns.
-_TRACE_ROW = ",".join("%.9g" if dtype is np.float64 else "%d" for _, dtype in TRACE_COLUMNS)
-
-
 def serialize_trace(trace: SimulationTrace, out: TextIO) -> None:
     """Write the trace CSV to the text stream `out`, one block of rows at a
     time: the text held at once is one block's, whatever the trace's length."""
-    arrays = [getattr(trace, name) for name, _ in TRACE_COLUMNS]
     out.write(TRACE_HEADER + "\n")
-    rows = sim._BLOCK_ROWS
-    for start in range(0, len(trace), rows):
-        block = [array[start:start + rows] for array in arrays]
-        columns = [(c + 0.0 if c.dtype == np.float64 else c).tolist() for c in block]
-        out.write("\n".join(map(_TRACE_ROW.__mod__, zip(*columns))))
-        out.write("\n")
+    out.writelines(_csv_blocks([getattr(trace, name) for name, _ in TRACE_COLUMNS]))
 
 
 # --------------------------------------------------------------------------

@@ -29,7 +29,6 @@ tick at a time: `ScenarioSampler.sample`, then `process_sample`, then
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field, fields
 from typing import Any, Literal, get_args
@@ -504,14 +503,14 @@ def run(scenario: Scenario, config: ConfigFile | None = None) -> SimulationTrace
         # the per-tick rule of which motor state feeds which sample, so a fault
         # planted there (perfbench's late-tone gate test) reaches the trace.
         rows[0] = sampler.sample(k, motor)
-        saved = copy.deepcopy(pipeline) if motor and device.power else None
+        saved = pipeline._save() if motor and device.power else None
         vm, sums = pipeline.process_block(rows)
         if saved is not None:
             moved = np.flatnonzero(vm[:-1] > cfg.count_threshold)
             if len(moved):  # the vibration ends there: no feedback after it
                 stop = k + int(moved[0]) + 1
                 rows = rows[:stop - k]
-                pipeline = saved
+                pipeline._restore(saved)
                 vm, sums = pipeline.process_block(rows)
         columns = (*rows.T, vm, *sums.T, *device._tick_block(vm, rows[:, 0]))
         for (name, _), column in zip(TRACE_COLUMNS, columns):

@@ -1,3 +1,4 @@
+import math
 import re
 from pathlib import Path
 
@@ -47,7 +48,7 @@ from stillwatch.io import (
     serialize_scenario,
     serialize_snapshots,
 )
-from stillwatch.sim import TRACE_COLUMNS
+from stillwatch.sim import TRACE_COLUMNS, SimulationTrace
 
 from conftest import trace_text
 
@@ -260,7 +261,45 @@ class TestEvents:
             parse_events("t,event\n1.0,hum\n")
 
 
+# Runs of one value and their lengths, for a trace column of each dtype: runs
+# of 1023-2049 rows make a column constant over a whole block, or up to a seam.
+RUN_LENGTHS = st.sampled_from((1, 2, 1023, 1024, 1025, 2049))
+RUN_VALUES = {
+    np.float64: st.sampled_from((0.0, -0.0, math.nan, 1.5, 1e16)) | st.floats(),
+    np.bool_: st.booleans(),
+    np.int64: st.integers(0, 2),
+}
+COLUMN_RUNS = st.tuples(*(st.lists(st.tuples(RUN_VALUES[dtype], RUN_LENGTHS), min_size=1,
+                                   max_size=4) for _, dtype in TRACE_COLUMNS))
+
+
 class TestTrace:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from((0, 1, 1023, 1024, 1025, 2049)), COLUMN_RUNS)
+    @example(2049, (
+        [(0.0, 1), (-0.0, 2)],  # t: 0.0 and -0.0 in every block
+        [(1.5, 1024), (2.5, 1)],  # ax: constant up to the first seam, not after it
+        [(math.nan, 1), (0.0, 3000)],  # ay: a NaN in the first block
+        *[[(1e16, 3000)]] * 6,  # az .. timer: constant over every block
+        [(True, 3000)],
+        [(False, 1024), (True, 1025)],
+        [(False, 1), (True, 1)],
+        [(True, 1), (False, 1)],
+        [(2, 1023), (0, 2)],
+    ))
+    def test_blocks_write_what_the_column_codecs_write(self, n, runs):
+        columns = {}
+        for (name, dtype), column_runs in zip(TRACE_COLUMNS, runs):
+            values, lengths = zip(*column_runs)
+            # np.resize repeats the runs up to n rows.
+            columns[name] = np.resize(np.repeat(np.array(values, dtype), lengths), n)
+        rows = zip(*(columns[name].tolist() for name, _ in TRACE_COLUMNS))
+        by_dtype = {np.float64: _g9, np.bool_: _bool01, np.int64: str}
+        formats = [by_dtype[dtype] for _, dtype in TRACE_COLUMNS]
+        # Line lists, so that a failure names the first row that differs.
+        want = _format_rows(TRACE_HEADER, formats, rows).split("\n")
+        assert trace_text(SimulationTrace(**columns)).split("\n") == want
+
     def test_row_format_writes_what_the_column_codecs_write(self):
         trace = run(canonical_scenario(duration_seconds=12.0))
         n = len(trace)

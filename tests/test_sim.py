@@ -17,6 +17,7 @@ from stillwatch import (
     AmbientVibration,
     BurstMovement,
     ButtonPress,
+    CountsConfig,
     MotorFeedback,
     Rest,
     Scenario,
@@ -433,6 +434,22 @@ class TestChunkedLoop:
             column = getattr(got, name)
             assert column.dtype == dtype
             assert column.tobytes() == getattr(want, name).tobytes(), name
+        assert got.events == want.events
+
+    @settings(max_examples=40, deadline=None)
+    @given(scenarios(), configs(), st.integers(1, 1100))
+    def test_equals_the_per_tick_loop_on_the_row_by_row_path(self, scenario, config, cap):
+        # At a 0.001 g dead-band a saturated sample is 2**64 quanta, so
+        # `process_block` counts through `process_sample`, which writes the
+        # rings in place: a chunk cut short by movement restores copies of them.
+        config = dataclasses.replace(config, counts=CountsConfig(deadband_g=0.001))
+        feedback = dataclasses.replace(scenario.motor_feedback, enabled=True)
+        scenario = dataclasses.replace(scenario, motor_feedback=feedback)
+        want = reference_run(scenario, config)
+        with mock.patch.object(sim, "_BLOCK_ROWS", cap):
+            got = run(scenario, config)
+        for name, _ in TRACE_COLUMNS:
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
         assert got.events == want.events
 
     def test_peak_memory_is_the_trace_arrays_and_one_chunk(self):

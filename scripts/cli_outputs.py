@@ -14,7 +14,8 @@ second scenario under the stock configuration),
 `design-filter --order 2/4/6` and `figure3`, and round-trips the configuration
 and scenario files through their parsers and serializers. `errors.txt` holds
 the exit code and stderr of each command refused for a fixed bad input: sample
-files for `counts` and `detect`, configuration files for `detect` and a
+files for `counts` and `detect`, some also under a 0.001 g dead-band, whose
+blocks are counted row by row, configuration files for `detect` and a
 scenario for `simulate`. Everything lands under OUT_DIR, so two commits
 compare with one command:
 
@@ -182,6 +183,14 @@ def late_off_grid_csv() -> str:
     return "t,ax,ay,az\n" + "\n".join(rows) + "\n"
 
 
+def mid_chunk_over_limit_csv() -> str:
+    """1,536 rows on the sample grid, the one on line 1,502, in the middle of
+    the second chunk, beyond the filters' input limit."""
+    rows = [f"{k / FS!r},0,0,1" for k in range(1536)]
+    rows[1500] = f"{1500 / FS!r},1e306,0,1"
+    return "t,ax,ay,az\n" + "\n".join(rows) + "\n"
+
+
 # Inputs that every command given them refuses, with exit 1.
 BAD_SAMPLES = {
     "bad_token": b"t,ax,ay,az\n0,0,0,1\n0.01,0,oops,1\n",
@@ -192,6 +201,14 @@ BAD_SAMPLES = {
     "blank_line": b"t,ax,ay,az\n0,0,0,1\n\n0.01,0,0,1\n",
     "cr_line_ends": b"t,ax,ay,az\r0,0,0,1\r0.01,0,0,1\r",
     "off_grid_t_line_1026": late_off_grid_csv().encode(),
+}
+# A dead-band whose saturated sample is 2**64 quanta, past the two int64 limbs
+# of `process_block`, which then runs its rows through `process_sample`; the
+# bad samples refused under it too.
+FINE_DEADBAND_CONFIG = "[counts]\ndeadband_g = 0.001\n"
+FINE_DEADBAND_BAD_SAMPLES = {
+    "over_input_limit_line_1502": mid_chunk_over_limit_csv().encode(),
+    "off_grid_t_line_1026": BAD_SAMPLES["off_grid_t_line_1026"],
 }
 BAD_CONFIGS = {
     "unknown_key": "[filter]\nq_factor = 2\n",
@@ -246,6 +263,12 @@ def refusals(scratch: Path, samples: str) -> str:
         path = scratch / f"{name}.csv"
         path.write_bytes(data)
         cases += [(f"{command} {name}", [command, str(path)]) for command in ("counts", "detect")]
+    fine = write(scratch / "fine_deadband.cfg", FINE_DEADBAND_CONFIG)
+    for name, data in FINE_DEADBAND_BAD_SAMPLES.items():
+        path = scratch / f"fine_deadband_{name}.csv"
+        path.write_bytes(data)
+        cases += [(f"{command} --config fine_deadband {name}",
+                   [command, str(path), "--config", fine]) for command in ("counts", "detect")]
     for name, text in BAD_CONFIGS.items():
         config = write(scratch / f"{name}.cfg", text)
         cases.append((f"detect --config {name}", ["detect", samples, "--config", config]))

@@ -60,6 +60,12 @@ def check_sample_step(prev_t: float, t: float, sample_rate_hz: float) -> None:
         )
 
 
+def _on_grid(prev_t: np.ndarray, t: np.ndarray, sample_rate_hz: float) -> np.ndarray:
+    """Where `check_sample_step(prev_t, t, sample_rate_hz)` passes, element-wise."""
+    step = t - prev_t
+    return (step > 0) & (np.abs(step - 1.0 / sample_rate_hz) <= 1e-9)
+
+
 class _RawSampleFields(NamedTuple):
     t: float
     ax: float
@@ -367,15 +373,16 @@ class CountsPipeline:
     def process_block(self, block) -> tuple[np.ndarray, np.ndarray]:
         """Advance every stage by an (n, 4) array of t, ax, ay, az rows; return
         each row's VM (n,) and epoch sums (n, 3), bit for bit `process_sample`'s.
-        All rows are checked first, the seam after the last sample included: a
-        refused block raises its first bad row's ValueError and changes nothing.
         Both methods share the state, so a stream may switch at any row.
 
-        Each window sums two int64 limbs of the quanta by differences of
-        cumulative sums, joined by one correctly rounded add as in `AxisWindow`.
-        That is exact while a saturated sample is below 2**63 quanta (2**58
-        stock, 2**64 at a 0.001 g dead-band), a window at most 2**21 samples
-        and a block under 2**31 rows; beyond, rows run through `process_sample`.
+        All rows are checked as arrays first, the seam after the last sample
+        included. Each window then sums two int64 limbs of the quanta by
+        differences of cumulative sums, joined by one correctly rounded add as
+        in `AxisWindow`. That is exact while a saturated sample is below 2**63
+        quanta (2**58 stock, 2**64 at a 0.001 g dead-band), a window at most
+        2**21 samples and a block under 2**31 rows. A block with a bad row, or
+        beyond those bounds, runs row by row through `process_sample`, which
+        refuses the first bad row; a refused block changes nothing.
         """
         block = np.asarray(block, dtype=float).reshape(len(block), 4)
         cfg, n, w, last_t = self.config, len(block), self.config.window_samples, self._last_t
@@ -383,24 +390,18 @@ class CountsPipeline:
             return np.empty(0), np.empty((0, 3))
         t, rate = block[:, 0], cfg.sample_rate_hz
         prev = np.concatenate(([t[0] if last_t is None else last_t], t[:-1]))
-        step = t - prev  # check_sample_step's
-        ok = (step > 0) & (np.abs(step - 1.0 / rate) <= 1e-9)
+        ok = _on_grid(prev, t, rate)
         ok[0] |= last_t is None
         ok &= np.isfinite(block).all(axis=1) & (np.abs(block[:, 1:]) <= self._input_limit).all(1)
-        if not ok.all():  # the first bad row fails as process_sample would fail on it
-            i = int(np.argmin(ok))
-            sample = RawSample(*block[i].tolist())
-            if i or last_t is not None:
-                check_sample_step(float(t[i - 1]) if i else last_t, sample.t, rate)
-            raise ValueError(
-                f"sample at t={sample.t} exceeds {self._input_limit:.3g} g, beyond which the "
-                "filters could overflow"
-            )
-        if not (self._windows[0]._qmax < 2.0**63 and w <= 2**21 and n + w < 2**31):
-            vms, sums = np.empty(n), np.empty((n, 3))
-            for i, row in enumerate(block.tolist()):
-                vms[i] = self.process_sample(RawSample(*row)).value
-                sums[i] = self._sums
+        if not (ok.all() and self._windows[0]._qmax < 2.0**63 and w <= 2**21 and n + w < 2**31):
+            saved, vms, sums = self._save(), np.empty(n), np.empty((n, 3))
+            try:
+                for i, row in enumerate(block.tolist()):
+                    vms[i] = self.process_sample(RawSample(*row)).value
+                    sums[i] = self._sums
+            except ValueError:
+                self._restore(saved)
+                raise
             return vms, sums
         mag = np.empty((n, 3))  # the filters per axis, every later stage on all three at once
         for axis, chain in enumerate(self._filters):

@@ -52,7 +52,7 @@ from typing import Callable, Iterable, Literal, Sequence, TextIO
 
 import numpy as np
 
-from .counts import CountsConfig, check_sample_step
+from .counts import CountsConfig, _on_grid, check_sample_step
 from .detector import DetectorEvent, EventKind
 from .device import Button, DeviceSnapshot
 from . import sim
@@ -234,8 +234,7 @@ def parse_samples(
             values = None
         # loadtxt skips blank lines, which the row count shows.
         if values is not None and values.shape == (len(body), 4) and np.isfinite(values).all():
-            step = values[1:, 0] - values[:-1, 0]  # check_sample_step, per row
-            if ((step > 0) & (np.abs(step - 1.0 / sample_rate_hz) <= 1e-9)).all():
+            if _on_grid(values[:-1, 0], values[1:, 0], sample_rate_hz).all():
                 return values
     return _parse_sample_lines(text, sample_rate_hz)
 

@@ -23,8 +23,8 @@ on every sample of a chunk. The chunk's samples are synthesized as arrays,
 counted by `CountsPipeline.process_block` and fed to the watch's detector by
 `InactivityDetector.process_block`; the LED and timer columns follow from
 whole-tick arithmetic. Each column is bit for bit what the watch gives one
-tick at a time: `ScenarioSampler.sample`, then `process_sample`, then
-`Device.tick`.
+tick at a time: `ScenarioSampler.sample`, which is one row of the same
+synthesis, then `process_sample`, then `Device.tick`.
 """
 
 from __future__ import annotations
@@ -205,30 +205,6 @@ class Scenario:
                 )
 
 
-def _segment_signal(segment: Segment, t: float) -> tuple[float, float, float]:
-    """Movement contribution of a segment at time t (gravity and noise excluded)."""
-    if isinstance(segment, Rest):
-        return (0.0, 0.0, 0.0)
-    local = t - segment.start
-    if isinstance(segment, SineMovement):
-        value = segment.amplitude_g * math.sin(2.0 * math.pi * segment.frequency_hz * local)
-        out = [0.0, 0.0, 0.0]
-        out[_AXIS_INDEX[segment.axis]] = value
-        return (out[0], out[1], out[2])
-    if isinstance(segment, BurstMovement):
-        u = local / (segment.end - segment.start)
-        envelope = 0.5 - 0.5 * math.cos(2.0 * math.pi * u)
-        value = (
-            segment.amplitude_g
-            * envelope
-            * math.sin(2.0 * math.pi * segment.center_frequency_hz * local)
-        )
-        return (value, value, value)
-    # AmbientVibration
-    value = segment.amplitude_g * math.sin(2.0 * math.pi * segment.frequency_hz * local)
-    return (value, value, value)
-
-
 def _map(func, values: np.ndarray) -> np.ndarray:
     """`func` of each value, through `math` rather than numpy: numpy's sine and
     cosine may differ in the last bit from host to host."""
@@ -236,8 +212,8 @@ def _map(func, values: np.ndarray) -> np.ndarray:
 
 
 def _segment_rows(segment: Segment, t: np.ndarray, xyz: np.ndarray) -> None:
-    """`_segment_signal` at each time of `t`, bit for bit, into the (n, 3)
-    array `xyz`, which holds zeros; a Rest leaves them."""
+    """The segment's movement (gravity and noise excluded) at each time of `t`,
+    into the (n, 3) array `xyz`, which holds zeros; a Rest leaves them."""
     if isinstance(segment, Rest):
         return
     local = t - segment.start
@@ -312,40 +288,11 @@ class ScenarioSampler:
         self._block_index = -1
         self._block = np.empty((0, 3))
 
-    def _segment_at(self, t: float) -> Segment:
-        # Last segment whose start is <= t; tiling guarantees it covers t.
-        segments = self.scenario.segments
-        lo, hi = 0, len(segments) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if segments[mid].start <= t:
-                lo = mid
-            else:
-                hi = mid - 1
-        return segments[lo]
-
     def sample(self, k: int, motor_on: bool = False) -> RawSample:
         """The raw sample at tick k; motor_on is the motor state one tick earlier."""
         if not self.scenario.segments or not (0 <= k <= self.n_ticks):
             raise ValueError(f"tick {k} outside scenario of {self.n_ticks} ticks")
-        t = k / self.sample_rate_hz
-        segment = self._segment_at(t)
-        x, y, z = _segment_signal(segment, t)
-        if self.scenario.noise_sigma_g:
-            b, row = divmod(k, _NOISE_BLOCK)
-            nx, ny, nz = self._noise(b)[row].tolist()
-        else:
-            nx = ny = nz = 0.0
-        x += nx
-        y += ny
-        z += nz + 1.0  # gravity
-        feedback = self.scenario.motor_feedback
-        if motor_on and feedback.enabled:
-            tone = feedback.amplitude_g * math.sin(2.0 * math.pi * feedback.frequency_hz * t)
-            x += tone
-            y += tone
-            z += tone
-        return RawSample(t, x, y, z)
+        return RawSample(*self._rows(k, k + 1, motor_on)[0].tolist())
 
     def _noise(self, b: int) -> np.ndarray:
         """Noise block b, (256, 3), held until another block is drawn."""
@@ -356,8 +303,10 @@ class ScenarioSampler:
         return self._block
 
     def _rows(self, start: int, stop: int, motor_on: bool) -> np.ndarray:
-        """`sample(k, motor_on)` for each tick k in [start, stop), start < stop,
-        bit for bit: an (n, 4) array of t, ax, ay, az rows."""
+        """The raw samples of ticks [start, stop), start < stop, as an (n, 4)
+        array of t, ax, ay, az rows; motor_on is the motor state one tick
+        before each. A row is its segment's movement, plus the sum of noise and
+        gravity, plus the feedback tone while the motor is on."""
         rows = np.zeros((stop - start, 4))
         t = rows[:, 0] = np.arange(start, stop) / self.sample_rate_hz
         xyz = rows[:, 1:]
@@ -497,12 +446,14 @@ def run(scenario: Scenario, config: ConfigFile | None = None) -> SimulationTrace
             stop = min(stop, detector.vibration_start_tick + cfg.vibration_ticks + 1)
         else:
             stop = min(stop, max(detector.last_reset_tick + cfg.inactivity_ticks, k) + 1)
-        rows = sampler._rows(k, stop, motor)
         # The first row is the one whose motor state may differ from the row
-        # before's. `_rows` gives it bit for bit, but it is drawn by `sample`,
-        # the per-tick rule of which motor state feeds which sample, so a fault
-        # planted there (perfbench's late-tone gate test) reaches the trace.
-        rows[0] = sampler.sample(k, motor)
+        # before's. It is drawn by `sample`, the per-tick rule of which motor
+        # state feeds which sample, so a fault planted there (perfbench's
+        # late-tone gate test) reaches the trace. Drawn first, it leaves its
+        # noise block held for `_rows`.
+        first = sampler.sample(k, motor)
+        rows = sampler._rows(k, stop, motor)
+        rows[0] = first
         saved = pipeline._save() if motor and device.power else None
         vm, sums = pipeline.process_block(rows)
         if saved is not None:

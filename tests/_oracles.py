@@ -4,19 +4,23 @@ Everything here is deliberately written against the *definitions* rather than
 the library internals: filtering via a direct-form I loop (and scipy), window
 sums by exact re-summation (`math.fsum`) of each trailing window, and
 detector event instants by arithmetic scanning of the movement ticks instead
-of a per-tick state machine. The closed loop's reference is the watch run one
-tick at a time through the streaming API (`reference_run`).
+of a per-tick state machine. A scenario's samples are synthesized one tick at
+a time with `math` (`reference_sample`), and the closed loop's reference is
+the watch run one tick at a time through the streaming API (`reference_run`).
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 
 import numpy as np
 from scipy import signal
 
-from stillwatch import (BiquadCoefficients, CountsConfig, CountsPipeline, Device, ScenarioSampler,
-                        SimulationTrace)
+from stillwatch import (AmbientVibration, BiquadCoefficients, BurstMovement, CountsConfig,
+                        CountsPipeline, Device, RawSample, Rest, ScenarioSampler, SimulationTrace,
+                        SineMovement)
 from stillwatch.sim import TRACE_COLUMNS, ConfigFile
 
 
@@ -154,6 +158,59 @@ def detector_event_oracle(above, inactivity_ticks: int, vibration_ticks: int,
     return events
 
 
+def segment_signal(segment, t: float) -> tuple[float, float, float]:
+    """Movement contribution of a segment at time t (gravity and noise excluded)."""
+    if isinstance(segment, Rest):
+        return (0.0, 0.0, 0.0)
+    local = t - segment.start
+    if isinstance(segment, SineMovement):
+        value = segment.amplitude_g * math.sin(2.0 * math.pi * segment.frequency_hz * local)
+        out = [0.0, 0.0, 0.0]
+        out["xyz".index(segment.axis)] = value
+        return (out[0], out[1], out[2])
+    if isinstance(segment, BurstMovement):
+        u = local / (segment.end - segment.start)
+        envelope = 0.5 - 0.5 * math.cos(2.0 * math.pi * u)
+        value = (
+            segment.amplitude_g
+            * envelope
+            * math.sin(2.0 * math.pi * segment.center_frequency_hz * local)
+        )
+        return (value, value, value)
+    assert isinstance(segment, AmbientVibration)
+    value = segment.amplitude_g * math.sin(2.0 * math.pi * segment.frequency_hz * local)
+    return (value, value, value)
+
+
+@functools.lru_cache(maxsize=4)
+def noise_block(seed: int, sigma: float, b: int) -> np.ndarray:
+    """Noise block b by its definition: 256 rows of three Gaussian draws from
+    the generator keyed by (seed, b). Read only."""
+    return np.random.default_rng((seed, b)).normal(0.0, sigma, (256, 3))
+
+
+def reference_sample(scenario, rate: float, k: int, motor_on: bool = False) -> RawSample:
+    """The raw sample at tick k, one tick alone: the movement of the segment
+    that holds t = k / rate, plus the sum of noise and gravity, plus the
+    feedback tone when the motor was on at the tick before."""
+    t = k / rate
+    starts = [segment.start for segment in scenario.segments]
+    x, y, z = segment_signal(scenario.segments[bisect.bisect_right(starts, t) - 1], t)
+    nx = ny = nz = 0.0
+    if scenario.noise_sigma_g:
+        nx, ny, nz = noise_block(scenario.seed, scenario.noise_sigma_g, k // 256)[k % 256].tolist()
+    x += nx
+    y += ny
+    z += nz + 1.0  # gravity
+    feedback = scenario.motor_feedback
+    if motor_on and feedback.enabled:
+        tone = feedback.amplitude_g * math.sin(2.0 * math.pi * feedback.frequency_hz * t)
+        x += tone
+        y += tone
+        z += tone
+    return RawSample(t, x, y, z)
+
+
 def reference_run(scenario, config: ConfigFile | None = None) -> SimulationTrace:
     """`stillwatch.run` one tick at a time: press the tick's buttons, synthesize
     its sample (the motor state of the tick before drives the feedback), count
@@ -168,7 +225,7 @@ def reference_run(scenario, config: ConfigFile | None = None) -> SimulationTrace
         t = k / sampler.sample_rate_hz
         for button in sampler.presses.get(k, ()):
             device.press_button(button, t)
-        sample = sampler.sample(k, motor_prev)
+        sample = reference_sample(scenario, sampler.sample_rate_hz, k, motor_prev)
         count = pipeline.process_sample(sample)
         snap = device.tick(count.value, t)
         motor_prev = snap.motor

@@ -574,8 +574,8 @@ class TestBlockRefusal:
     leaves the pipeline as an untouched twin."""
 
     @staticmethod
-    def primed():
-        pipeline = CountsPipeline.from_spec()
+    def primed(config=None):
+        pipeline = CountsPipeline.from_spec(None, config)
         rng = np.random.default_rng(3)
         pipeline.process_block(np.column_stack([np.arange(150) / 100.0,
                                                 rng.normal(0.0, 1.0, (150, 3))]))
@@ -600,6 +600,30 @@ class TestBlockRefusal:
         with pytest.raises(ValueError) as streaming:
             stream_block(streamed, block)
         assert str(refused.value) == str(streaming.value)
+        self.assert_same_next_output(pipeline, twin)
+
+    # A 0.001 g dead-band runs every block row by row, so its bad row is met
+    # after rows that changed the state; the stock config refuses a bad seam
+    # row from the array check.
+    @pytest.mark.parametrize("config,row", [(CountsConfig(deadband_g=0.001), 40),
+                                            (CountsConfig(), 0)])
+    @pytest.mark.parametrize("bad", ["off grid", "over limit"])
+    def test_refusal_is_process_samples_and_restores_the_state(self, bad, config, row):
+        rng = np.random.default_rng(5)
+        block = np.column_stack([(150 + np.arange(80)) / 100.0, rng.normal(0.0, 1.0, (80, 3))])
+        if bad == "off grid":
+            block[row:, 0] += 0.0005
+        else:
+            block[row, 1] = 1e306
+        pipeline, twin, streamed = self.primed(config), self.primed(config), self.primed(config)
+        saved = pipeline._save()
+        with pytest.raises(ValueError) as refused:
+            pipeline.process_block(block)
+        with pytest.raises(ValueError) as streaming:
+            stream_block(streamed, block)
+        assert str(refused.value) == str(streaming.value)
+        assert f"sample at t={float(block[row, 0])!r} " in str(refused.value)
+        assert pipeline._save() == saved
         self.assert_same_next_output(pipeline, twin)
 
     def test_off_grid_seam_is_refused_without_a_state_change(self):

@@ -30,7 +30,7 @@ from stillwatch import (
 from stillwatch.device import DeviceConfig
 from stillwatch.sim import TRACE_COLUMNS, ConfigFile
 
-from _oracles import reference_run
+from _oracles import reference_run, reference_sample
 from conftest import trace_text
 
 QUIET_MINUTE = Scenario(
@@ -357,11 +357,14 @@ class TestBlockSynthesis:
         (990, 1001),
     ])
     def test_rows_are_the_samples(self, start, stop, motor_on, sigma):
-        sampler = ScenarioSampler(dataclasses.replace(self.SCENARIO, noise_sigma_g=sigma))
-        rows = sampler._rows(start, stop, motor_on)
-        want = [sampler.sample(k, motor_on) for k in range(start, stop)]
-        assert rows.tolist() == [list(sample) for sample in want]
-        assert np.array_equal(np.signbit(rows), np.signbit(np.array(want)))
+        scenario = dataclasses.replace(self.SCENARIO, noise_sigma_g=sigma)
+        sampler = ScenarioSampler(scenario)
+        want = np.array([reference_sample(scenario, sampler.sample_rate_hz, k, motor_on)
+                         for k in range(start, stop)])
+        samples = [sampler.sample(k, motor_on) for k in range(start, stop)]
+        for got in (sampler._rows(start, stop, motor_on), np.array(samples)):
+            assert got.tolist() == want.tolist()
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 FS = 100.0

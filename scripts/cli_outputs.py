@@ -14,9 +14,9 @@ second scenario under the stock configuration),
 `design-filter --order 2/4/6` and `figure3`, and round-trips the configuration
 and scenario files through their parsers and serializers. `errors.txt` holds
 the exit code and stderr of each command refused for a fixed bad input: sample
-files for `counts` and `detect`, some also under a 0.001 g dead-band, whose
-blocks are counted row by row, configuration files for `detect` and a
-scenario for `simulate`. Everything lands under OUT_DIR, so two commits
+files for `counts` and `detect`, with faults in chunks that parse and in chunks
+that do not, some also under a 0.001 g dead-band, whose blocks are counted row
+by row, configuration files for `detect` and a scenario for `simulate`. Everything lands under OUT_DIR, so two commits
 compare with one command:
 
     PYTHONPATH=path/to/other/src python3 scripts/cli_outputs.py /tmp/other
@@ -176,19 +176,19 @@ button = power
 """
 
 
-def late_off_grid_csv() -> str:
-    """A full first chunk of 1,024 rows on the sample grid, then an off-grid t
-    on line 1,026: a fault that only the second chunk holds."""
-    rows = [f"{k / FS!r},0,0,1" for k in range(1024)] + ["10.5,0,0,1"]
-    return "t,ax,ay,az\n" + "\n".join(rows) + "\n"
+def grid_csv(rows: int, spoilt: dict[int, bytes]) -> bytes:
+    """A sample file of `rows` rows on the sample grid, the row on each line
+    number in `spoilt` replaced by its bytes. A chunk is 1,024 lines, so line
+    1,026 is the second chunk's first and line 1,502 is in its middle."""
+    lines = [b"t,ax,ay,az"] + [f"{k / FS!r},0,0,1".encode() for k in range(rows)]
+    for number, row in spoilt.items():
+        lines[number - 1] = row
+    return b"\n".join(lines) + b"\n"
 
 
-def mid_chunk_over_limit_csv() -> str:
-    """1,536 rows on the sample grid, the one on line 1,502, in the middle of
-    the second chunk, beyond the filters' input limit."""
-    rows = [f"{k / FS!r},0,0,1" for k in range(1536)]
-    rows[1500] = f"{1500 / FS!r},1e306,0,1"
-    return "t,ax,ay,az\n" + "\n".join(rows) + "\n"
+def over_limit(number: int) -> bytes:
+    """The grid row on line `number`, with ax beyond the filters' input limit."""
+    return f"{(number - 2) / FS!r},1e306,0,1".encode()
 
 
 # Inputs that every command given them refuses, with exit 1.
@@ -200,14 +200,23 @@ BAD_SAMPLES = {
     "wrong_header": b"time,ax,ay,az\n0,0,0,1\n",
     "blank_line": b"t,ax,ay,az\n0,0,0,1\n\n0.01,0,0,1\n",
     "cr_line_ends": b"t,ax,ay,az\r0,0,0,1\r0.01,0,0,1\r",
-    "off_grid_t_line_1026": late_off_grid_csv().encode(),
+    "off_grid_t_line_1026": grid_csv(1025, {1026: b"10.5,0,0,1"}),
+    # Chunks that parse and that counting refuses, named from their arrays.
+    "over_input_limit_line_1026": grid_csv(1536, {1026: over_limit(1026)}),
+    "over_input_limit_line_1502": grid_csv(1536, {1502: over_limit(1502)}),
+    # Chunks that do not parse, run one line at a time: the first fault in the
+    # file is named, whatever its kind.
+    "over_input_limit_line_1100_then_bad_token": grid_csv(
+        1536, {1100: over_limit(1100), 1200: b"11.98,0,oops,1"}),
+    "off_grid_t_line_1030_then_not_utf8": grid_csv(
+        1536, {1030: b"10.285,0,0,1", 1040: b"10.38,0,0,\xff1"}),
 }
 # A dead-band whose saturated sample is 2**64 quanta, past the two int64 limbs
 # of `process_block`, which then runs its rows through `process_sample`; the
 # bad samples refused under it too.
 FINE_DEADBAND_CONFIG = "[counts]\ndeadband_g = 0.001\n"
 FINE_DEADBAND_BAD_SAMPLES = {
-    "over_input_limit_line_1502": mid_chunk_over_limit_csv().encode(),
+    "over_input_limit_line_1502": BAD_SAMPLES["over_input_limit_line_1502"],
     "off_grid_t_line_1026": BAD_SAMPLES["off_grid_t_line_1026"],
 }
 BAD_CONFIGS = {

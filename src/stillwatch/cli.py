@@ -8,9 +8,10 @@ Subcommands:
   figure3        run the canonical burst-then-rest scenario and write the
                  acceleration/counts/timer series and events for plotting
 
-`counts` and `detect` read the sample file in chunks of lines and count each
-as one block, so their memory does not grow with the file; a failure names the
-file's first bad line and writes no output.
+`counts` and `detect` read the sample file in chunks of lines: a chunk's byte
+lines are parsed, then dropped, and its array is counted as one block, so their
+memory does not grow with the file. A fault found parsing or counting names the
+file's first bad line, and nothing is written.
 
 All outputs are deterministic for identical inputs. Exit codes: 0 on success,
 2 for usage errors, 1 for I/O or validation failures (one-line diagnostic on
@@ -32,7 +33,7 @@ from typing import Iterator, TextIO
 import numpy as np
 
 from . import io as formats
-from .counts import CountsPipeline
+from .counts import CountsPipeline, RawSample
 from .detector import InactivityDetector
 from .filters import FilterSpec, design_bandpass_cascade
 from . import sim
@@ -67,44 +68,47 @@ def _count_file(path: str, config: formats.ConfigFile):
     """Count a sample file in chunks of `sim._BLOCK_ROWS` lines, yielding each chunk's
     (t, vm, epoch sums); memory stays that of one chunk, whatever the file's length.
 
-    Lines end at LF alone, as in `parse_samples`, which reads each chunk under
-    the file's header. A refused chunk, which left the pipeline as it was, is
-    run again one line at a time to raise ParseError on the first bad line of
-    the file; a header fault is line 1.
+    Lines end at LF alone, as in `parse_samples`, which reads each chunk's byte
+    lines under the file's header line. A parsed chunk is held once, as its
+    array: its lines are dropped before it is counted. A chunk refused while
+    counting, which left the pipeline as it was, is run again row by row to
+    name its first bad row. A chunk that does not parse is run again one line
+    at a time, each parsed and counted, to raise ParseError on the first bad
+    line of the file, whatever its kind; a header fault is line 1.
     """
     rate = config.counts.sample_rate_hz
     pipeline = CountsPipeline.from_spec(config.filter_spec, config.counts, config.filter_order)
     with open(path, "rb") as fh:
-        header = _decode(fh.readline(), 1)
-        first = 2  # the chunk's first line
+        header, first = fh.readline(), 2  # `first`: the number of the chunk's first line
         while True:
-            chunk = list(itertools.islice(fh, sim._BLOCK_ROWS))
+            lines = [header, *itertools.islice(fh, sim._BLOCK_ROWS)]
             try:
-                block = formats.parse_samples(header + b"".join(chunk).decode("utf-8"), rate)
-                vm, sums = pipeline.process_block(block)
+                block = formats.parse_samples(lines, rate)
             except ValueError:
-                for line, raw in enumerate(chunk, start=first):
+                for line, raw in enumerate(lines[1:], start=first):
                     try:
-                        text = header + _decode(raw, line)
-                        pipeline.process_block(formats.parse_samples(text, rate))
+                        pipeline.process_block(formats.parse_samples([header, raw], rate))
                     except formats.ParseError as exc:  # on line 1, the header, or on this one
                         at = 1 if exc.line == 1 else line
                         raise formats.ParseError(exc.message, at) from None
                     except ValueError as exc:
                         raise formats.ParseError(str(exc), line) from None
                 raise
+            del lines
+            try:
+                vm, sums = pipeline.process_block(block)
+            except ValueError:
+                for line, row in enumerate(block.tolist(), start=first):
+                    try:
+                        pipeline.process_sample(RawSample(*row))
+                    except ValueError as exc:
+                        raise formats.ParseError(str(exc), line) from None
+                raise
             yield block[:, 0], vm, sums
-            if len(chunk) < sim._BLOCK_ROWS:
+            if len(block) < sim._BLOCK_ROWS:
                 return
-            first += len(chunk)
-
-
-def _decode(line: bytes, number: int) -> str:
-    """The text of a line; a byte that is not UTF-8 fails on the line's number."""
-    try:
-        return line.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise formats.ParseError(f"not valid UTF-8: {exc.reason}", number) from None
+            first += len(block)
+            del block, vm, sums  # the caller drops its own before asking for the next
 
 
 def _cmd_counts(args: argparse.Namespace) -> int:
@@ -115,6 +119,7 @@ def _cmd_counts(args: argparse.Namespace) -> int:
         for t, vm, sums in _count_file(args.samples, config):
             text = formats.serialize_counts(np.column_stack((t, vm, sums)))
             rows.write(text.partition("\n")[2])  # the rows, after their header
+            del t, vm, sums, text  # not held while the next chunk is read
         rows.seek(0)
         with _open_output(args.output) as out:
             shutil.copyfileobj(rows, out)
@@ -127,6 +132,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     events = []
     for t, vm, _ in _count_file(args.samples, config):
         events += detector.process_block(vm, t)
+        del t, vm, _  # not held while the next chunk is read
     with _open_output(args.output) as out:
         out.write(formats.serialize_events(events))
     return 0

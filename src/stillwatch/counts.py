@@ -403,25 +403,37 @@ class CountsPipeline:
                 self._restore(saved)
                 raise
             return vms, sums
-        mag = np.empty((n, 3))  # the filters per axis, every later stage on all three at once
-        for axis, chain in enumerate(self._filters):
+        # Each window's carried quanta, oldest first, above the block's own from
+        # the filters, one axis at a time; every later stage in place on all three.
+        quanta = np.empty((w + n, 3))
+        for axis, (chain, win) in enumerate(zip(self._filters, self._windows)):
+            quanta[:w, axis] = win._buf[win._idx:] + win._buf[:win._idx]
             y = block[:, axis + 1].tolist()
             for biquad in chain:
                 y = biquad._process(y)
-            mag[:, axis] = y
+            quanta[w:, axis] = y
+            del y
+        mag = quanta[w:]
         np.minimum(np.abs(mag, out=mag), cfg.saturation_g, out=mag)
         mag[mag < cfg.deadband_g] = 0.0
-        # Each window's carried quanta, oldest first, above the block's own.
-        carried = [win._buf[win._idx:] + win._buf[:win._idx] for win in self._windows]
-        quanta = np.concatenate((np.array(carried, dtype=float).T,
-                                 mag / cfg.scale_g_per_sec_per_count / rate * self._up))
-        q = quanta.astype(np.int64)
-        hi, lo = np.cumsum(q >> 32, axis=0), np.cumsum(q & 0xFFFFFFFF, axis=0)
-        hi, lo = hi[w:] - hi[:-w], lo[w:] - lo[:-w]
-        sums = (hi.astype(float) * 2.0**32 + lo.astype(float)) * self._windows[0]._down
-        for win, buf, top, bottom in zip(self._windows, quanta[-w:].T.tolist(),
-                                         hi[-1].tolist(), lo[-1].tolist()):
+        mag /= cfg.scale_g_per_sec_per_count
+        mag /= rate
+        mag *= self._up
+        rings = quanta[-w:].T.tolist()  # each window's last w quanta, oldest first
+        lo = quanta.astype(np.int64)
+        del mag, quanta
+        hi = lo >> 32
+        lo &= 0xFFFFFFFF
+        np.cumsum(hi, axis=0, out=hi)
+        np.cumsum(lo, axis=0, out=lo)
+        hi = hi[w:] - hi[:-w]
+        lo = lo[w:] - lo[:-w]
+        for win, buf, top, bottom in zip(self._windows, rings, hi[-1].tolist(), lo[-1].tolist()):
             win._buf, win._idx, win._sum = buf, 0, (top << 32) + bottom
+        sums = hi.astype(float)
+        sums *= 2.0**32
+        sums += lo
+        sums *= self._windows[0]._down
         sx, sy, sz = sums.T
         self._last_t, self._sums = float(t[-1]), tuple(sums[-1].tolist())
         return np.sqrt(sx * sx + sy * sy + sz * sz), sums

@@ -210,33 +210,52 @@ def _csv_blocks(columns: Sequence[np.ndarray]) -> Iterable[str]:
 
 
 def parse_samples(
-    text: str, sample_rate_hz: float = CountsConfig().sample_rate_hz
+    text: str | Sequence[bytes], sample_rate_hz: float = CountsConfig().sample_rate_hz
 ) -> np.ndarray:
     """Parse a raw sample CSV into a float64 (n, 4) array of t, ax, ay, az
     rows, checking that each timestamp is one sample period after the one before.
 
-    numpy reads the body and its values are checked as arrays; a file that
-    fails any of that is parsed again line by line, which decides: it returns
-    the same array or raises on the first bad line.
+    `text` is the CSV's text, or its byte lines as a binary file yields them,
+    header first, so a chunk of a file parses under its header, unjoined. numpy
+    reads the body and its values are checked as arrays; a file that fails any
+    of that is parsed again line by line, which decides: it returns the same
+    array or raises on the first bad line (a byte line that is not UTF-8 after
+    any fault above it).
     """
-    lines = text.split("\n")
-    if lines[-1] == "":
+    lines = text.split("\n") if isinstance(text, str) else text
+    if lines[-1:] == [""]:  # after the text's last LF; a byte line keeps its own
         lines.pop()
-    # loadtxt reads one trailing "\r" per line, so CRLF files take this path
-    # too. A blank first row is refused below; loadtxt would skip it and, with
-    # nothing after it, warn that it read no data.
-    if len(lines) > 1 and lines[0].rstrip("\r") == SAMPLES_HEADER and lines[1] not in ("", "\r"):
+    # loadtxt reads a line's LF and one "\r" before it, so CRLF files take this
+    # path too. A blank first row is refused below; loadtxt would skip it and,
+    # with nothing after it, warn that it read no data.
+    if len(lines) > 1 and _bare(lines[0]) == SAMPLES_HEADER and _bare(lines[1]):
         body = lines[1:]
         try:
             # No comment character: loadtxt's default would accept `1.0#x`.
-            values = np.loadtxt(body, delimiter=",", comments=None, dtype=float, ndmin=2)
-        except ValueError:
+            values = np.loadtxt(body, delimiter=",", comments=None, dtype=float, ndmin=2,
+                                encoding="utf-8")
+        except ValueError:  # a UnicodeDecodeError too
             values = None
         # loadtxt skips blank lines, which the row count shows.
         if values is not None and values.shape == (len(body), 4) and np.isfinite(values).all():
             if _on_grid(values[:-1, 0], values[1:, 0], sample_rate_hz).all():
                 return values
+    if not isinstance(text, str):
+        for number, line in enumerate(lines, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                if number > 1:  # a fault above this line is named first
+                    _parse_sample_lines(b"".join(lines[:number - 1]).decode(), sample_rate_hz)
+                raise ParseError(f"not valid UTF-8: {exc.reason}", number) from None
+        text = b"".join(lines).decode()
     return _parse_sample_lines(text, sample_rate_hz)
+
+
+def _bare(line: str | bytes) -> str:
+    """A line's text without its line end; a byte that is not UTF-8 reads as U+FFFD."""
+    text = line if isinstance(line, str) else line.decode("utf-8", "replace")
+    return text.rstrip("\r\n")
 
 
 def _parse_sample_lines(text: str, sample_rate_hz: float) -> np.ndarray:

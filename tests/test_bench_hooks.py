@@ -89,6 +89,8 @@ def test_traced_session_reaches_every_span(spans, scenario_file, tmp_path):
     assert calls["detector.tick"] == calls["device.tick"] == STREAM_TICKS
     # One formatting call per simulate, so the per-row figure stays per row.
     assert calls["io.serialize_trace"] == 1
+    # One parse per chunk of `detect`'s file, which is one chunk long.
+    assert calls["io.parse_samples"] == 1
     assert not tracer.errors
 
 

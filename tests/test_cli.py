@@ -278,6 +278,15 @@ class TestBlockCounting:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["counts", "detect"])
+    def test_a_wrong_header_comes_before_a_bad_byte_below_it(self, command, tmp_path,
+                                                             capsys):
+        src = tmp_path / "bad.csv"
+        src.write_bytes(b"t,ax,ay\n0,0,\xc3,1\n")
+        assert main([command, str(src)]) == 1
+        assert capsys.readouterr().err == (
+            "error: line 1: expected header 't,ax,ay,az', got 't,ax,ay'\n")
+
+    @pytest.mark.parametrize("command", ["counts", "detect"])
     def test_the_first_of_two_faults_wins(self, command, tmp_path, capsys):
         # A refused sample on line 3 comes before a word on line 6, in one chunk.
         src = tmp_path / "two.csv"
@@ -429,10 +438,13 @@ class TestBoundedMemory:
     """The file commands hold one chunk at a time, so their peak does not grow
     with the file (tracemalloc: Python objects and numpy buffers)."""
 
-    # Measured on these files: 6k rows peak at 0.52 MB (detect) and 0.65 MB
-    # (counts), 60k rows 0.01 and 0.02 MB above that; counting the whole file
-    # at once peaked at 1.2 and 11.5 MB (detect), 1.8 and 15.0 MB (counts).
+    # Measured on these files after a first run: 6k rows peak at 0.19 MB
+    # (detect) and 0.45 MB (counts), 60k rows 0.02 and 0.01 MB above that.
+    # Parsing each chunk from its joined text and holding its lines while it
+    # was counted, 0.46 and 0.57 MB; counting the whole file at once, 1.2 and
+    # 11.5 MB (detect), 1.8 and 15.0 MB (counts).
     MARGIN_MB = 0.1
+    DETECT_PEAK_MB = 0.35
 
     @pytest.fixture(scope="class")
     def files(self, tmp_path_factory):
@@ -461,6 +473,14 @@ class TestBoundedMemory:
         short, long = (self.peak_mb([command, str(files[n]), "-o", str(tmp_path / "out.csv")])
                        for n in (6_000, 60_000))
         assert long < short + self.MARGIN_MB, (short, long)
+
+    def test_detect_holds_each_chunk_once(self, files, tmp_path):
+        # A chunk's byte lines are dropped once parsed, the counting works in
+        # place, and the last chunk's arrays are gone before the next is read.
+        argv = ["detect", str(files[6_000]), "-o", str(tmp_path / "events.csv")]
+        self.peak_mb(argv)  # first-use caches are not the chunk's
+        peak = self.peak_mb(argv)
+        assert peak < self.DETECT_PEAK_MB, peak
 
     def test_simulate_holds_the_trace_arrays_and_one_block_of_text(self, tmp_path):
         # The trace record (84 B per tick) is all that grows. Measured: 30 s

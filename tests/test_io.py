@@ -1,5 +1,7 @@
 import math
 import re
+import warnings
+from io import BytesIO
 from pathlib import Path
 
 import numpy as np
@@ -238,6 +240,71 @@ class TestSamplesDifferential:
 
         monkeypatch.setattr(stillwatch.io, "_parse_sample_lines", refuse)
         assert len(parse_samples(text)) == 50
+
+
+# Bytes that are not UTF-8, put into a sample file: a stray continuation byte,
+# a lead byte with nothing after it, a cut sequence and an encoded surrogate.
+NOT_UTF8 = [b"\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80"]
+
+
+@st.composite
+def sample_bytes(draw):
+    """The bytes of a sample file: a drawn one, with bytes that are not UTF-8
+    put in at a few places, or a header over blank lines alone."""
+    if draw(st.integers(0, 7)) == 0:
+        newline = draw(st.sampled_from([b"\n", b"\r\n"]))
+        last = draw(st.sampled_from([b"", b"\r"]))
+        return b"t,ax,ay,az" + newline * draw(st.integers(1, 4)) + last
+    data = draw(sample_files()).encode()
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from(NOT_UTF8)) + data[at:]
+    return data
+
+
+def text_outcome(data):
+    """`parse_outcome` of `parse_samples` on the text of `data`. A byte that is
+    not UTF-8 fails on its line, unless the text above that line fails first."""
+    try:
+        return parse_outcome(parse_samples, data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        start = data.rfind(b"\n", 0, exc.start) + 1  # the first byte of its line
+        if start:
+            above = parse_outcome(parse_samples, data[:start].decode("utf-8"))
+            if isinstance(above[0], int):
+                return above
+        return data.count(b"\n", 0, start) + 1, f"not valid UTF-8: {exc.reason}"
+
+
+class TestSampleByteLines:
+    """A file's byte lines, header first, parse as the file's text does."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(sample_bytes())
+    @example(b"t,ax,ay,az\n\n\n")
+    @example(b"t,ax,ay,az\r\n\r\n")
+    @example(b"t,ax,ay,az\n\r")
+    @example(b"t,ax,ay,az\n1.0#x,0,0,1\n")
+    @example(b"t,ax,ay,az\r\n 0 ,0,\t0,1 \r\n0.01,0,0,1")
+    @example(b"\xfft,ax,ay,az\n0,0,0,1\n")
+    @example(b"t,ax,ay,az\n0,0,0,1\n0.015,0,0,1\n0.02,0,\xff0,1\n")
+    @example(b"t,ax,ay,az\n0,0,0,\xc3\n0.01,oops,0,1\n")
+    @example(b"")
+    def test_byte_lines_parse_as_the_text(self, data):
+        lines = BytesIO(data).readlines()  # each with its LF, as a binary file yields them
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt's "input contained no data" included
+            assert parse_outcome(parse_samples, lines) == text_outcome(data)
+
+    def test_well_formed_byte_lines_are_read_by_numpy(self, monkeypatch):
+        text = serialize_samples(random_samples(np.random.default_rng(54), 50))
+        lines = BytesIO(text.replace("\n", "\r\n").encode()).readlines()
+
+        def refuse(*args):
+            raise AssertionError("fell back to the line parser")
+
+        monkeypatch.setattr(stillwatch.io, "_parse_sample_lines", refuse)
+        assert parse_samples(lines).tolist() == parse_samples(text).tolist()
 
 
 class TestCountsRows:

@@ -204,10 +204,12 @@ BAD_SAMPLES = {
     # Chunks that parse and that counting refuses, named from their arrays.
     "over_input_limit_line_1026": grid_csv(1536, {1026: over_limit(1026)}),
     "over_input_limit_line_1502": grid_csv(1536, {1502: over_limit(1502)}),
-    # Chunks that do not parse, run one line at a time: the first fault in the
-    # file is named, whatever its kind.
+    # Chunks that do not parse: the first fault in the file is named, whatever
+    # its kind, a refused row above a line that does not parse included.
     "over_input_limit_line_1100_then_bad_token": grid_csv(
         1536, {1100: over_limit(1100), 1200: b"11.98,0,oops,1"}),
+    "bad_token_line_1100_then_over_input_limit": grid_csv(
+        1536, {1100: b"10.98,0,oops,1", 1200: over_limit(1200)}),
     "off_grid_t_line_1030_then_not_utf8": grid_csv(
         1536, {1030: b"10.285,0,0,1", 1040: b"10.38,0,0,\xff1"}),
 }

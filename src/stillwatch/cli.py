@@ -11,7 +11,7 @@ Subcommands:
 `counts` and `detect` read the sample file in chunks of lines: a chunk's byte
 lines are parsed, then dropped, and its array is counted as one block, so their
 memory does not grow with the file. A fault found parsing or counting names the
-file's first bad line, and nothing is written.
+file's first bad line, with no chunk run twice, and nothing is written.
 
 All outputs are deterministic for identical inputs. Exit codes: 0 on success,
 2 for usage errors, 1 for I/O or validation failures (one-line diagnostic on
@@ -33,7 +33,7 @@ from typing import Iterator, TextIO
 import numpy as np
 
 from . import io as formats
-from .counts import CountsPipeline, RawSample
+from .counts import CountsPipeline
 from .detector import InactivityDetector
 from .filters import FilterSpec, design_bandpass_cascade
 from . import sim
@@ -70,40 +70,33 @@ def _count_file(path: str, config: formats.ConfigFile):
 
     Lines end at LF alone, as in `parse_samples`, which reads each chunk's byte
     lines under the file's header line. A parsed chunk is held once, as its
-    array: its lines are dropped before it is counted. A chunk refused while
-    counting, which left the pipeline as it was, is run again row by row to
-    name its first bad row. A chunk that does not parse is run again one line
-    at a time, each parsed and counted, to raise ParseError on the first bad
-    line of the file, whatever its kind; a header fault is line 1.
+    array: its lines are dropped before it is counted. A refusal names the
+    file's first bad line, whatever its kind. A row that counting refuses is
+    named by its index in the chunk. A chunk's first bad line, which
+    `parse_samples` names, is raised only once the lines above it, which
+    parse, are counted, so a row refused among them wins. A header fault is
+    line 1.
     """
     rate = config.counts.sample_rate_hz
     pipeline = CountsPipeline.from_spec(config.filter_spec, config.counts, config.filter_order)
     with open(path, "rb") as fh:
         header, first = fh.readline(), 2  # `first`: the number of the chunk's first line
         while True:
-            lines = [header, *itertools.islice(fh, sim._BLOCK_ROWS)]
+            lines, fault = [header, *itertools.islice(fh, sim._BLOCK_ROWS)], None
             try:
                 block = formats.parse_samples(lines, rate)
-            except ValueError:
-                for line, raw in enumerate(lines[1:], start=first):
-                    try:
-                        pipeline.process_block(formats.parse_samples([header, raw], rate))
-                    except formats.ParseError as exc:  # on line 1, the header, or on this one
-                        at = 1 if exc.line == 1 else line
-                        raise formats.ParseError(exc.message, at) from None
-                    except ValueError as exc:
-                        raise formats.ParseError(str(exc), line) from None
-                raise
+            except formats.ParseError as exc:
+                if exc.line == 1:  # the header, no row above it
+                    raise
+                fault = formats.ParseError(exc.message, first + exc.line - 2)
+                block = formats.parse_samples(lines[:exc.line - 1], rate)  # the rows above it
             del lines
             try:
                 vm, sums = pipeline.process_block(block)
-            except ValueError:
-                for line, row in enumerate(block.tolist(), start=first):
-                    try:
-                        pipeline.process_sample(RawSample(*row))
-                    except ValueError as exc:
-                        raise formats.ParseError(str(exc), line) from None
-                raise
+            except ValueError as exc:  # the pipeline is as it was
+                raise formats.ParseError(str(exc), first + exc.row) from None
+            if fault is not None:
+                raise fault
             yield block[:, 0], vm, sums
             if len(block) < sim._BLOCK_ROWS:
                 return

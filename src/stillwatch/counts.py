@@ -382,7 +382,8 @@ class CountsPipeline:
         quanta (2**58 stock, 2**64 at a 0.001 g dead-band), a window at most
         2**21 samples and a block under 2**31 rows. A block with a bad row, or
         beyond those bounds, runs row by row through `process_sample`, which
-        refuses the first bad row; a refused block changes nothing.
+        refuses the first bad row; a refused block changes nothing, and its
+        error carries that row's index in the block as `exc.row`.
         """
         block = np.asarray(block, dtype=float).reshape(len(block), 4)
         cfg, n, w, last_t = self.config, len(block), self.config.window_samples, self._last_t
@@ -399,8 +400,9 @@ class CountsPipeline:
                 for i, row in enumerate(block.tolist()):
                     vms[i] = self.process_sample(RawSample(*row)).value
                     sums[i] = self._sums
-            except ValueError:
+            except ValueError as exc:
                 self._restore(saved)
+                exc.row = i
                 raise
             return vms, sums
         # Each window's carried quanta, oldest first, above the block's own from

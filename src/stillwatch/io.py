@@ -48,7 +48,7 @@ import functools
 import math
 import typing
 from dataclasses import MISSING, fields
-from typing import Callable, Iterable, Literal, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Literal, Sequence, TextIO
 
 import numpy as np
 
@@ -157,8 +157,10 @@ def _parse_choice(choices: tuple[str, ...], token: str, line: int, what: str) ->
     return token
 
 
-def _csv_rows(text: str, header: str) -> list[tuple[int, list[str]]]:
-    """Split CSV text into (line number, fields) rows after checking the header."""
+def _csv_rows(text: str, header: str) -> Iterator[tuple[int, list[str]]]:
+    """Yield CSV text's (line number, fields) rows, one at a time, after checking
+    the header. A line is checked as it is reached, so a caller's check of a row's
+    values runs before any line below it is read: the first bad line is named."""
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -167,7 +169,6 @@ def _csv_rows(text: str, header: str) -> list[tuple[int, list[str]]]:
     if lines[0].rstrip("\r") != header:
         raise ParseError(f"expected header {header!r}, got {lines[0]!r}", 1)
     n_fields = header.count(",") + 1
-    rows = []
     for i, raw in enumerate(lines[1:], start=2):
         line = raw.rstrip("\r")
         if line == "":
@@ -175,8 +176,7 @@ def _csv_rows(text: str, header: str) -> list[tuple[int, list[str]]]:
         fields = line.split(",")
         if len(fields) != n_fields:
             raise ParseError(f"expected {n_fields} fields, got {len(fields)}", i)
-        rows.append((i, [f.strip() for f in fields]))
-    return rows
+        yield i, [f.strip() for f in fields]
 
 
 def _format_rows(header: str, formats: Sequence[Callable], rows: Iterable[Sequence]) -> str:

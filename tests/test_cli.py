@@ -212,7 +212,7 @@ class TestDetect:
 
 class TestBlockCounting:
     """`counts` and `detect` count the file in chunks of `_BLOCK_ROWS` lines, each
-    as one block; a refused chunk is counted again line by line to name its line."""
+    as one block; a refused row is named by its index in the chunk, with no re-run."""
 
     @pytest.fixture
     def late_refusal_file(self, tmp_path):
@@ -432,6 +432,35 @@ class TestChunking:
             # file with a byte that is not UTF-8 has no whole text to compare.
             if n_faults <= 1 and b"\xff" not in data:
                 assert want == whole_file_outcome(command, data, config)
+
+
+class TestTwoFaults:
+    """Of two spoilt lines, the earlier is named, whatever the kinds of both and
+    wherever the seams of 4-line chunks fall: a file holding both is refused as
+    the same file holding only the earlier."""
+
+    @pytest.fixture(scope="class")
+    def config(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("two_faults") / "fast.cfg"
+        path.write_bytes(FAST_DETECTOR)
+        return path
+
+    # Lines 4 and 5 share the first chunk; 4 and 7, and 5 and 6, lie across its
+    # seam; 3 and 11 are in the first and third chunks.
+    @pytest.mark.parametrize("rows", [(2, 3), (2, 5), (3, 4), (1, 9)],
+                             ids=lambda rows: "%d-%d" % rows)
+    @pytest.mark.parametrize("later", sorted(FAULTS))
+    @pytest.mark.parametrize("earlier", sorted(FAULTS))
+    @pytest.mark.parametrize("command", ["counts", "detect"])
+    def test_the_earlier_fault_is_named(self, command, earlier, later, rows, config):
+        amplitudes = [0.0, 0.2, 3.0] * 4
+        both, alone = config.parent / "both.csv", config.parent / "alone.csv"
+        both.write_bytes(sample_bytes(amplitudes, [(rows[0], earlier), (rows[1], later)]))
+        alone.write_bytes(sample_bytes(amplitudes, [(rows[0], earlier)]))
+        with mock.patch.object(sim, "_BLOCK_ROWS", 4):
+            want = cli_outcome(command, alone, config)
+            assert want[0] == 1
+            assert cli_outcome(command, both, config) == want
 
 
 class TestBoundedMemory:

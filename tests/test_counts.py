@@ -600,6 +600,7 @@ class TestBlockRefusal:
         with pytest.raises(ValueError) as streaming:
             stream_block(streamed, block)
         assert str(refused.value) == str(streaming.value)
+        assert refused.value.row == row
         self.assert_same_next_output(pipeline, twin)
 
     # A 0.001 g dead-band runs every block row by row, so its bad row is met
@@ -623,6 +624,7 @@ class TestBlockRefusal:
             stream_block(streamed, block)
         assert str(refused.value) == str(streaming.value)
         assert f"sample at t={float(block[row, 0])!r} " in str(refused.value)
+        assert refused.value.row == row
         assert pipeline._save() == saved
         self.assert_same_next_output(pipeline, twin)
 

@@ -140,13 +140,25 @@ class TestSamples:
             ("t,ax,ay,az\n0.02,0,0,1\n0.01,0,0,1\n", 3, "not one 100.0 Hz step after"),
             ("t,ax,ay,az\n0.00,0,0,1\n0.02,0,0,1\n", 3, "not one 100.0 Hz step after"),
             ("t,ax,ay,az\n0.00,0,0,1\n\n0.01,0,0,1\n", 3, "blank line"),
+            # The first bad line wins, whatever the kind of a fault below it.
+            ("t,ax,ay,az\n0,0,0,1\n0.01,oops,0,1\n\n0.02,0,0,1\n", 3, "ax: not a number"),
+            ("t,ax,ay,az\n0,0,0,1\n0.02,0,0,1\n0.03,0,0\n", 3, "not one 100.0 Hz step after"),
+            ("t,event\n0,bogus\n\n", 2, "event must be one of"),
+            ("t,kind,arg\n0,sample,-1\n0,x\n", 2, "nonnegative"),
         ],
     )
     def test_errors_carry_line_numbers(self, text, line, fragment):
-        with pytest.raises(ParseError) as info:
-            parse_samples(text)
-        assert info.value.line == line
-        assert fragment in str(info.value)
+        # The header picks the parser: the other CSV formats share `_csv_rows`.
+        parse = {"t,event": parse_events, "t,kind,arg": parse_device_log}.get(
+            text.partition("\n")[0], parse_samples)
+        inputs = [text]
+        if parse is parse_samples:  # and as the byte lines of a binary file
+            inputs.append(text.encode().splitlines(keepends=True))
+        for data in inputs:
+            with pytest.raises(ParseError) as info:
+                parse(data)
+            assert info.value.line == line
+            assert fragment in str(info.value)
 
     def test_wrong_rate_message_names_the_rate(self):
         with pytest.raises(ParseError, match="50.0 Hz"):

@@ -55,12 +55,13 @@ print(f"  VM while vibrating: {trace_fed.vm[vibrating].max():.3f} "
 print(f"  event traces identical: {trace_fed.events == trace.events}")
 
 ###############################################################################
-# Write the CSVs for external plotting. The trace goes straight to its file a
-# block of rows at a time, so its text is never held whole; for a string,
-# pass an io.StringIO.
+# Write the CSVs for external plotting. `serialize_trace` takes traces of
+# consecutive ticks, one after another: the whole trace is `[trace]`. It goes
+# straight to its file a block of rows at a time, so its text is never held
+# whole; for a string, pass an io.StringIO.
 
 with open("demo_trace.csv", "w", newline="\n") as fh:
-    serialize_trace(trace, fh)
+    serialize_trace([trace], fh)
 with open("demo_events.csv", "w", newline="\n") as fh:
     fh.write(serialize_events(trace.events))
 print("\nwrote demo_trace.csv and demo_events.csv")

@@ -16,7 +16,9 @@ and scenario files through their parsers and serializers. `errors.txt` holds
 the exit code and stderr of each command refused for a fixed bad input: sample
 files for `counts` and `detect`, with faults in chunks that parse and in chunks
 that do not, some also under a 0.001 g dead-band, whose blocks are counted row
-by row, configuration files for `detect` and a scenario for `simulate`. Everything lands under OUT_DIR, so two commits
+by row, configuration files for `detect`, and for `simulate` a scenario that
+does not parse and one refused mid-run; no refused command may leave an output
+file. Everything lands under OUT_DIR, so two commits
 compare with one command:
 
     PYTHONPATH=path/to/other/src python3 scripts/cli_outputs.py /tmp/other
@@ -227,6 +229,25 @@ BAD_CONFIGS = {
     "off_grid_device_duration": "[device]\nvibration_seconds = 0.005\n",
 }
 BAD_SCENARIO = SCENARIO.replace("kind = sine", "kind = wiggle")
+# Parses, but its burst passes the filters' input limit 15.57 s in, after more
+# than a chunk of ticks has been run and written.
+OVER_LIMIT_SCENARIO = """\
+[scenario]
+duration_seconds = 20
+seed = 0
+
+[segment]
+kind = rest
+start = 0
+end = 15
+
+[segment]
+kind = burst
+start = 15
+end = 20
+amplitude_g = 1e307
+center_frequency_hz = 1.0
+"""
 
 
 def samples_csv() -> str:
@@ -285,6 +306,8 @@ def refusals(scratch: Path, samples: str) -> str:
         cases.append((f"detect --config {name}", ["detect", samples, "--config", config]))
     scenario = write(scratch / "unknown_segment_kind.txt", BAD_SCENARIO)
     cases.append(("simulate unknown_segment_kind", ["simulate", scenario]))
+    scenario = write(scratch / "burst_over_input_limit.txt", OVER_LIMIT_SCENARIO)
+    cases.append(("simulate burst_over_input_limit", ["simulate", scenario]))
     blocks = []
     for title, argv in cases:
         err = io.StringIO()
@@ -292,6 +315,8 @@ def refusals(scratch: Path, samples: str) -> str:
             code = main([*argv, "-o", str(scratch / "refused_output")])
         if code != 1:
             raise SystemExit(f"stillwatch {title} exited with {code}, not 1")
+        if (scratch / "refused_output").exists():
+            raise SystemExit(f"stillwatch {title} left an output behind")
         blocks.append(f"# {title}\nexit {code}\n{err.getvalue()}")
     return "\n".join(blocks)
 

@@ -12,6 +12,10 @@ Subcommands:
 lines are parsed, then dropped, and its array is counted as one block, so their
 memory does not grow with the file. A fault found parsing or counting names the
 file's first bad line, with no chunk run twice, and nothing is written.
+`simulate` writes each chunk of ticks as it is run, so its memory does not grow
+with the scenario. The rows of `counts` and `simulate` go to a temporary file,
+copied to the output only once the whole input has run, so a refusal mid-way
+(a sample past the filters' input limit) leaves no output behind.
 
 All outputs are deterministic for identical inputs. Exit codes: 0 on success,
 2 for usage errors, 1 for I/O or validation failures (one-line diagnostic on
@@ -56,6 +60,21 @@ def _open_output(path: str | Path | None) -> Iterator[TextIO]:
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             yield fh
+
+
+@contextlib.contextmanager
+def _staged_output(path: str | None) -> Iterator[TextIO]:
+    """A temporary text stream for an output written as its input is run,
+    copied to the file at `path` (as bytes, with no decoding), or to stdout,
+    only once the whole run has succeeded: a refusal mid-way leaves no output."""
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n") as staged:
+        yield staged
+        staged.seek(0)  # flushes the text into `staged.buffer`
+        if path is None:
+            shutil.copyfileobj(staged, sys.stdout)
+        else:
+            with open(path, "wb") as out:
+                shutil.copyfileobj(staged.buffer, out)
 
 
 def _load_config(path: str | None) -> formats.ConfigFile:
@@ -106,16 +125,8 @@ def _count_file(path: str, config: formats.ConfigFile):
 
 def _cmd_counts(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    # Rows go to a temporary file, so a refused line leaves no output behind.
-    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="\n") as rows:
-        rows.write(formats.serialize_counts(()))
-        for t, vm, sums in _count_file(args.samples, config):
-            text = formats.serialize_counts(np.column_stack((t, vm, sums)))
-            rows.write(text.partition("\n")[2])  # the rows, after their header
-            del t, vm, sums, text  # not held while the next chunk is read
-        rows.seek(0)
-        with _open_output(args.output) as out:
-            shutil.copyfileobj(rows, out)
+    with _staged_output(args.output) as out:
+        formats.serialize_counts(map(np.column_stack, _count_file(args.samples, config)), out)
     return 0
 
 
@@ -134,12 +145,18 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     scenario = formats.parse_scenario(_read_text(args.scenario))
-    trace = run(scenario, config)
-    with _open_output(args.output) as out:
-        formats.serialize_trace(trace, out)
+    events: list = []
+
+    def blocks():
+        for block in sim._run_blocks(scenario, config):
+            events.extend(block.events)
+            yield block
+
+    with _staged_output(args.output) as out:
+        formats.serialize_trace(blocks(), out)
     if args.events is not None:
         with _open_output(args.events) as out:
-            out.write(formats.serialize_events(trace.events))
+            out.write(formats.serialize_events(events))
     return 0
 
 
@@ -157,7 +174,7 @@ def _cmd_figure3(args: argparse.Namespace) -> int:
     scenario = canonical_scenario()
     trace = run(scenario)
     with _open_output(out_dir / "figure3_trace.csv") as out:
-        formats.serialize_trace(trace, out)
+        formats.serialize_trace([trace], out)
     with _open_output(out_dir / "figure3_events.csv") as out:
         out.write(formats.serialize_events(trace.events))
     with _open_output(out_dir / "figure3_scenario.txt") as out:

@@ -27,9 +27,10 @@ one float64 array of t, ax, ay, az rows. numpy reads the body, and the
 array's values and timestamp grid are checked as arrays. A file that fails
 any of that is parsed again line by line, and that parser alone decides: it
 accepts what float() reads, which includes every token numpy does, or names
-the first bad line. The counts and the wide trace are written a block of
-%-formatted rows at a time, the trace to a text stream: a simulation holds
-its trace arrays (84 bytes per tick), never their whole text.
+the first bad line. The counts and the wide trace are written to a text
+stream a block of %-formatted rows at a time, from blocks given one after
+another, so a writer that is handed each chunk as it is made holds one
+chunk, never the whole table or its text.
 
 Formats:
   samples        t,ax,ay,az                     raw accelerometer stream
@@ -45,6 +46,7 @@ Formats:
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import typing
 from dataclasses import MISSING, fields
@@ -185,10 +187,12 @@ def _format_rows(header: str, formats: Sequence[Callable], rows: Iterable[Sequen
     return "\n".join([header, *map(",".join, zip(*texts))]) + "\n"
 
 
-# Counts and trace rows, one %-format per block of `sim._BLOCK_ROWS` rows: %.9g
+# Counts and trace rows, one %-operation per block of `sim._BLOCK_ROWS` rows:
+# the row format, once per row, over the block's values in row order. %.9g
 # writes a float as _g9 does once `+ 0` turns -0.0 into 0.0, %d a flag (an int
-# after `+ 0`) as 0/1 and an option as its digit. A column constant over the block
-# is formatted once, into the format's text; a NaN equals nothing, so is per row.
+# after `+ 0`) as 0/1 and an option as its digit. A column constant over the
+# block is formatted once, into the row format; a NaN equals nothing, so is
+# per row.
 def _csv_blocks(columns: Sequence[np.ndarray]) -> Iterable[str]:
     """The CSV rows of equal-length columns, one block of rows at a time."""
     for start in range(0, len(columns[0]), sim._BLOCK_ROWS):
@@ -201,8 +205,8 @@ def _csv_blocks(columns: Sequence[np.ndarray]) -> Iterable[str]:
             else:
                 formats.append(directive)
                 varying.append(block.tolist())
-        row = ",".join(formats) + "\n"
-        yield "".join(map(row.__mod__, zip(*varying))) if varying else row * len(block)
+        rows = (",".join(formats) + "\n") * len(block)
+        yield rows % tuple(itertools.chain.from_iterable(zip(*varying)))
 
 
 # --------------------------------------------------------------------------
@@ -286,11 +290,13 @@ def serialize_samples(samples: Iterable[Sequence[float]]) -> str:
 # Counts output and detector event traces
 
 
-def serialize_counts(rows: Sequence[Sequence[float]]) -> str:
-    """Write rows of t, vm, sx, sy, sz: sequences of five floats, or an (n, 5)
-    array. Each value reads as `_g9` writes it."""
-    columns = np.asarray(rows, dtype=float).reshape(len(rows), 5).T
-    return "".join([COUNTS_HEADER + "\n", *_csv_blocks(columns)])
+def serialize_counts(blocks: Iterable[np.ndarray], out: TextIO) -> None:
+    """Write the counts CSV of `blocks`, (n, 5) arrays of t, vm, sx, sy, sz
+    rows one after another, to the text stream `out`, one block of rows at a
+    time. Each value reads as `_g9` writes it."""
+    out.write(COUNTS_HEADER + "\n")
+    for block in blocks:
+        out.writelines(_csv_blocks(block.T))
 
 
 def parse_events(text: str) -> list[DetectorEvent]:
@@ -307,11 +313,14 @@ def serialize_events(events: Iterable[DetectorEvent]) -> str:
 # --------------------------------------------------------------------------
 # Wide simulation traces
 
-def serialize_trace(trace: SimulationTrace, out: TextIO) -> None:
-    """Write the trace CSV to the text stream `out`, one block of rows at a
-    time: the text held at once is one block's, whatever the trace's length."""
+def serialize_trace(blocks: Iterable[SimulationTrace], out: TextIO) -> None:
+    """Write the trace CSV of `blocks`, traces of consecutive ticks (a whole
+    trace is `[trace]`), to the text stream `out`, one block of rows at a
+    time: the text held at once is one block's, whatever the trace's length,
+    and a block is written before the next is asked for."""
     out.write(TRACE_HEADER + "\n")
-    out.writelines(_csv_blocks([getattr(trace, name) for name, _ in TRACE_COLUMNS]))
+    for block in blocks:
+        out.writelines(_csv_blocks([getattr(block, name) for name, _ in TRACE_COLUMNS]))
 
 
 # --------------------------------------------------------------------------

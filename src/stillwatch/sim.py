@@ -17,21 +17,23 @@ of a counter-keyed generator. A sample therefore depends only on the
 scenario, the seed, the tick and the motor state, never on query order or
 scenario length, and one generator serves 256 ticks instead of one.
 
-`run` advances the watch a chunk of ticks at a time, each chunk ending at the
-first tick where the motor could turn on or off, so the feedback is the same
-on every sample of a chunk. The chunk's samples are synthesized as arrays,
-counted by `CountsPipeline.process_block` and fed to the watch's detector by
-`InactivityDetector.process_block`; the LED and timer columns follow from
-whole-tick arithmetic. Each column is bit for bit what the watch gives one
-tick at a time: `ScenarioSampler.sample`, which is one row of the same
-synthesis, then `process_sample`, then `Device.tick`.
+`_run_blocks` advances the watch a chunk of ticks at a time, each chunk
+ending at the first tick where the motor could turn on or off, so the feedback
+is the same on every sample of a chunk. The chunk's samples are synthesized as
+arrays, counted by `CountsPipeline.process_block` and fed to the watch's
+detector by `InactivityDetector.process_block`; the LED and timer columns
+follow from whole-tick arithmetic. Each chunk is yielded as a trace of its
+own, so a writer holds one chunk, whatever the scenario's length; `run`
+gathers them into one whole trace. Each column is bit for bit what the watch
+gives one tick at a time: `ScenarioSampler.sample`, which is one row of the
+same synthesis, then `process_sample`, then `Device.tick`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Any, Literal, get_args
+from typing import Any, Iterator, Literal, get_args
 
 import numpy as np
 
@@ -410,8 +412,29 @@ class ConfigFile:
 
 
 def run(scenario: Scenario, config: ConfigFile | None = None) -> SimulationTrace:
-    """Simulate the whole watch over a scenario. Without a config, every
-    tunable takes its default.
+    """Simulate the whole watch over a scenario and return its whole trace.
+    Without a config, every tunable takes its default.
+
+    The trace is `_run_blocks`' chunks, one after another, in arrays sized
+    for the run (84 bytes per tick); a caller that writes the trace as it
+    goes takes the chunks instead.
+    """
+    config = config or ConfigFile()
+    n = ScenarioSampler(scenario, config.counts.sample_rate_hz).n_ticks
+    trace = {name: np.empty(n, dtype) for name, dtype in TRACE_COLUMNS}
+    events: list[DetectorEvent] = []
+    k = 0
+    for block in _run_blocks(scenario, config):
+        for name, _ in TRACE_COLUMNS:
+            trace[name][k:k + len(block)] = getattr(block, name)
+        events += block.events
+        k += len(block)
+    return SimulationTrace(**trace, events=tuple(events))
+
+
+def _run_blocks(scenario: Scenario, config: ConfigFile) -> Iterator[SimulationTrace]:
+    """Simulate the whole watch over a scenario, one chunk of ticks at a time:
+    each is yielded as a trace of its ticks and the events emitted in them.
 
     The motor's state at one tick drives the feedback on the next sample, so
     the loop runs in chunks that end where the motor could change: with the
@@ -419,17 +442,15 @@ def run(scenario: Scenario, config: ConfigFile | None = None) -> SimulationTrace
     postpones it); with it on, at the tick where the vibration runs out, or
     at the first movement, which ends it sooner and cuts the chunk there. A
     chunk also ends before a button press and after `_BLOCK_ROWS` ticks. Each
-    chunk is synthesized, counted and fed to the watch as arrays, and its
-    columns go into the trace's arrays.
+    chunk is synthesized, counted and fed to the watch as arrays, so memory
+    is that of one chunk, whatever the scenario's length.
     """
-    config = config or ConfigFile()
     sampler = ScenarioSampler(scenario, config.counts.sample_rate_hz)
     pipeline = CountsPipeline.from_spec(config.filter_spec, config.counts, config.filter_order)
     device = Device(config.device, config.detector)
     detector = device._detector
 
     n = sampler.n_ticks
-    trace = {name: np.empty(n, dtype) for name, dtype in TRACE_COLUMNS}
     press_ticks = [*sorted(sampler.presses), n]
     k = p = 0
     motor = False  # at tick k - 1, so on the feedback of tick k
@@ -463,12 +484,12 @@ def run(scenario: Scenario, config: ConfigFile | None = None) -> SimulationTrace
                 rows = rows[:stop - k]
                 pipeline._restore(saved)
                 vm, sums = pipeline.process_block(rows)
-        columns = (*rows.T, vm, *sums.T, *device._tick_block(vm, rows[:, 0]))
-        for (name, _), column in zip(TRACE_COLUMNS, columns):
-            trace[name][k:stop] = column
-        motor = bool(trace["motor"][stop - 1])
+        watch = device._tick_block(vm, rows[:, 0])  # timer, motor, LEDs and option
+        block = SimulationTrace(*rows.T, vm, *sums.T, *watch, events=tuple(device.events))
+        device.events.clear()
+        motor = bool(block.motor[-1])
         k = stop
-    return SimulationTrace(**trace, events=tuple(device.events))
+        yield block
 
 
 def canonical_scenario(

@@ -12,7 +12,7 @@ from stillwatch import (
     RawSample,
     design_bandpass_cascade,
 )
-from stillwatch.io import serialize_trace
+from stillwatch.io import serialize_counts, serialize_trace
 
 
 @pytest.fixture(scope="session")
@@ -51,9 +51,17 @@ def make_samples(xyz: np.ndarray, fs: float = 100.0, t0: float = 0.0) -> list[Ra
 
 
 def trace_text(trace) -> str:
-    """The trace CSV that `serialize_trace` writes, as a string."""
+    """The trace CSV that `serialize_trace` writes for a whole trace, as a string."""
     out = io.StringIO()
-    serialize_trace(trace, out)
+    serialize_trace([trace], out)
+    return out.getvalue()
+
+
+def counts_text(rows) -> str:
+    """The counts CSV that `serialize_counts` writes for rows of t, vm, sx,
+    sy, sz, as a string."""
+    out = io.StringIO()
+    serialize_counts([np.array(rows, dtype=float).reshape(-1, 5)], out)
     return out.getvalue()
 
 

@@ -69,6 +69,9 @@ def test_traced_session_reaches_every_span(spans, scenario_file, tmp_path):
         assert cli.main(["detect", str(samples), "-o", str(tmp_path / "detect.csv")]) == 0
         assert cli.main(["simulate", str(scenario_file), "-o", str(tmp_path / "trace.csv"),
                          "--events", str(tmp_path / "events.csv")]) == 0
+        # `simulate` writes its trace as it runs; `figure3` runs the whole
+        # trace through `sim.run` first.
+        assert cli.main(["figure3", "-o", str(tmp_path / "figure3")]) == 0
         # The commands run blocks; the streaming names are reached by a stream
         # of their own, one tick at a time, as the stream_ticks workload runs.
         sampler = ScenarioSampler(canonical_scenario(12.0))
@@ -87,8 +90,9 @@ def test_traced_session_reaches_every_span(spans, scenario_file, tmp_path):
     # once per `Device.tick`; the detect and simulate commands scan blocks with
     # `InactivityDetector.process_block`, which calls no traced name.
     assert calls["detector.tick"] == calls["device.tick"] == STREAM_TICKS
-    # One formatting call per simulate, so the per-row figure stays per row.
-    assert calls["io.serialize_trace"] == 1
+    # One formatting call per command that writes a trace, so the per-row
+    # figure stays per row.
+    assert calls["io.serialize_trace"] == 2
     # One parse per chunk of `detect`'s file, which is one chunk long.
     assert calls["io.parse_samples"] == 1
     assert not tracer.errors

@@ -16,12 +16,14 @@ from hypothesis import strategies as st
 
 import stillwatch
 from stillwatch import (
+    BurstMovement,
     ButtonPress,
     CountsPipeline,
     Device,
     InactivityDetector,
     MotorFeedback,
     RawSample,
+    Rest,
     Scenario,
     ScenarioSampler,
     canonical_scenario,
@@ -36,14 +38,12 @@ from stillwatch.io import (
     parse_config,
     parse_events,
     parse_samples,
-    serialize_counts,
     serialize_events,
     serialize_samples,
     serialize_scenario,
 )
-from stillwatch.sim import TRACE_COLUMNS
 
-from conftest import make_samples
+from conftest import counts_text, make_samples
 
 GOLDEN_EVENTS = Path(__file__).parent / "data" / "figure3_events.csv"
 
@@ -143,7 +143,7 @@ class TestCounts:
         rows = [(s.t, pipeline.process_sample(s).value, *pipeline.epoch_sums)
                 for s in read_samples(src)]
         assert rows[0][0] == 0.0 and str(rows[0][0]) == "-0.0"
-        assert out.read_text() == serialize_counts(rows)
+        assert out.read_text() == counts_text(rows)
         assert out.read_text().splitlines()[1].startswith("0,")
 
     def test_reruns_are_byte_identical(self, sample_file, tmp_path):
@@ -301,7 +301,7 @@ class TestBlockCounting:
         pipeline = CountsPipeline.from_spec()
         rows = [(s.t, pipeline.process_sample(s).value, *pipeline.epoch_sums)
                 for s in read_samples(sample_file)]
-        assert out.read_text() == serialize_counts(rows)
+        assert out.read_text() == counts_text(rows)
 
     def test_commands_do_not_import_scipy(self, sample_file, tmp_path):
         # README promises numpy as the only runtime dependency; scipy's import
@@ -390,7 +390,7 @@ def whole_file_outcome(command, data, config):
             events.extend(detector.tick(count.value, count.t).events)
     except ParseError as exc:
         return 1, None, "", f"error: {exc}\n"
-    text = serialize_counts(rows) if command == "counts" else serialize_events(events)
+    text = counts_text(rows) if command == "counts" else serialize_events(events)
     return 0, text.encode(), "", ""
 
 
@@ -464,16 +464,21 @@ class TestTwoFaults:
 
 
 class TestBoundedMemory:
-    """The file commands hold one chunk at a time, so their peak does not grow
-    with the file (tracemalloc: Python objects and numpy buffers)."""
+    """The file commands hold one chunk at a time, and `simulate` one chunk of
+    ticks, so their peak does not grow with the input (tracemalloc: Python
+    objects and numpy buffers)."""
 
     # Measured on these files after a first run: 6k rows peak at 0.19 MB
-    # (detect) and 0.45 MB (counts), 60k rows 0.02 and 0.01 MB above that.
+    # (detect) and 0.42 MB (counts), 60k rows 0.02 and 0.01 MB above that.
+    # The counts peak is the row writer's one block: its varying columns as
+    # lists of floats, their values in row order and the block's text; with
+    # each row formatted as a string of its own, then joined, 0.45 MB.
     # Parsing each chunk from its joined text and holding its lines while it
     # was counted, 0.46 and 0.57 MB; counting the whole file at once, 1.2 and
     # 11.5 MB (detect), 1.8 and 15.0 MB (counts).
     MARGIN_MB = 0.1
     DETECT_PEAK_MB = 0.35
+    COUNTS_PEAK_MB = 0.55
 
     @pytest.fixture(scope="class")
     def files(self, tmp_path_factory):
@@ -511,20 +516,26 @@ class TestBoundedMemory:
         peak = self.peak_mb(argv)
         assert peak < self.DETECT_PEAK_MB, peak
 
-    def test_simulate_holds_the_trace_arrays_and_one_block_of_text(self, tmp_path):
-        # The trace record (84 B per tick) is all that grows. Measured: 30 s
-        # peaks at 0.91 MB and 300 s at 3.08 MB, 84.1 B per extra tick; with
-        # the trace's whole text held, as before, 1.04 and 6.54 MB (214 B).
+    def test_counts_holds_each_chunk_and_its_rows_once(self, files, tmp_path):
+        # Each chunk's rows go straight to the staged output, under one header.
+        argv = ["counts", str(files[6_000]), "-o", str(tmp_path / "counts.csv")]
+        self.peak_mb(argv)  # first-use caches are not the chunk's
+        peak = self.peak_mb(argv)
+        assert peak < self.COUNTS_PEAK_MB, peak
+
+    def test_simulate_peak_does_not_grow_with_the_scenario(self, tmp_path):
+        # Each chunk of ticks is written before the next is run. Measured:
+        # 0.61 MB at 30 s, 300 s and 3,000 s; holding the trace arrays until
+        # the run ended, 0.77, 2.94 and 24.6 MB (84 B per tick).
         argv = {}
         for seconds in (30.0, 300.0):
             path = tmp_path / f"scenario_{seconds:g}.txt"
             path.write_text(serialize_scenario(canonical_scenario(seconds)))
             argv[seconds] = ["simulate", str(path), "-o", str(tmp_path / "trace.csv"),
                              "--events", str(tmp_path / "events.csv")]
-        self.peak_mb(argv[30.0])  # first-use caches are not the trace's
+        self.peak_mb(argv[30.0])  # first-use caches are not the run's
         short, long = self.peak_mb(argv[30.0]), self.peak_mb(argv[300.0])
-        per_tick = np.dtype(list(TRACE_COLUMNS)).itemsize
-        assert long < short + (per_tick * 27_000) / 2**20 + self.MARGIN_MB, (short, long)
+        assert long < short + self.MARGIN_MB, (short, long)
 
 
 class TestSimulate:
@@ -591,6 +602,23 @@ class TestSimulate:
         assert main(["simulate", str(scenario_path), "--events", str(tmp_path / "ev.csv")]) == 0
         assert capsys.readouterr().out == TRACE_HEADER + "\n"
         assert (tmp_path / "ev.csv").read_text() == "t,event\n"
+
+    def test_a_refusal_mid_run_writes_nothing(self, tmp_path, capsys):
+        # The burst's samples pass the filters' input limit 0.57 s in, after
+        # more than a chunk of ticks has been run and written.
+        scenario = Scenario(20.0, seed=0, segments=(
+            Rest(0.0, 15.0), BurstMovement(15.0, 20.0, amplitude_g=1e307, center_frequency_hz=1.0),
+        ))
+        scenario_path = tmp_path / "scenario.txt"
+        scenario_path.write_text(serialize_scenario(scenario))
+        trace_path, events_path = tmp_path / "trace.csv", tmp_path / "events.csv"
+        for output in (["-o", str(trace_path)], []):
+            assert main(["simulate", str(scenario_path), *output,
+                         "--events", str(events_path)]) == 1
+            out, err = capsys.readouterr()
+            assert err.startswith("error: sample at t=15.57 exceeds 4.82e+305 g, "), err
+            assert out == ""
+            assert not trace_path.exists() and not events_path.exists()
 
     def test_scenario_parse_error_is_line_addressed(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

@@ -43,7 +43,6 @@ from stillwatch.io import (
     parse_samples,
     parse_scenario,
     serialize_config,
-    serialize_counts,
     serialize_device_log,
     serialize_events,
     serialize_samples,
@@ -52,7 +51,7 @@ from stillwatch.io import (
 )
 from stillwatch.sim import TRACE_COLUMNS, SimulationTrace
 
-from conftest import trace_text
+from conftest import counts_text, trace_text
 
 
 def random_samples(rng, n):
@@ -321,7 +320,7 @@ class TestSampleByteLines:
 
 class TestCountsRows:
     def test_nine_significant_digits(self):
-        text = serialize_counts([(0.01, 1.2800480769230769, 0.0, 128.00480769230768, 1.0)])
+        text = counts_text([(0.01, 1.2800480769230769, 0.0, 128.00480769230768, 1.0)])
         assert text.splitlines()[1] == "0.01,1.28004808,0,128.004808,1"
 
 

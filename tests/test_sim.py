@@ -455,6 +455,19 @@ class TestChunkedLoop:
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
         assert got.events == want.events
 
+    @settings(max_examples=60, deadline=None)
+    @given(scenarios(), configs(), st.integers(1, 1100))
+    def test_blocks_are_the_trace_in_chunks(self, scenario, config, cap):
+        want = reference_run(scenario, config)
+        with mock.patch.object(sim, "_BLOCK_ROWS", cap):
+            blocks = list(sim._run_blocks(scenario, config))
+        assert all(1 <= len(block) <= cap for block in blocks)
+        for name, dtype in TRACE_COLUMNS:
+            columns = [getattr(block, name) for block in blocks]
+            assert all(column.dtype == dtype for column in columns), name
+            assert np.concatenate(columns).tobytes() == getattr(want, name).tobytes(), name
+        assert tuple(e for block in blocks for e in block.events) == want.events
+
     def test_peak_memory_is_the_trace_arrays_and_one_chunk(self):
         # Measured: one chunk's work peaks 0.32 MB above the arrays at 30 s and
         # 0.35 MB at 300 s (the per-tick loop: 0.10 and 0.11 MB).

@@ -90,25 +90,24 @@ def _count_file(path: str, config: formats.ConfigFile):
     Lines end at LF alone, as in `parse_samples`, which reads each chunk's byte
     lines under the file's header line. A parsed chunk is held once, as its
     array: its lines are dropped before it is counted. A refusal names the
-    file's first bad line, whatever its kind. A row that counting refuses is
-    named by its index in the chunk. A chunk's first bad line, which
-    `parse_samples` names, is raised only once the lines above it, which
-    parse, are counted, so a row refused among them wins. A header fault is
-    line 1.
+    file's first bad line, whatever its kind. A row that counting refuses,
+    off the sample grid or beyond the filters' input limit, is named by its
+    index in the chunk. A chunk's first line that does not parse, which
+    `parse_samples` names, is raised only once the lines above it are
+    counted, so a row refused among them wins. A header fault is line 1.
     """
-    rate = config.counts.sample_rate_hz
     pipeline = CountsPipeline.from_spec(config.filter_spec, config.counts, config.filter_order)
     with open(path, "rb") as fh:
         header, first = fh.readline(), 2  # `first`: the number of the chunk's first line
         while True:
             lines, fault = [header, *itertools.islice(fh, sim._BLOCK_ROWS)], None
             try:
-                block = formats.parse_samples(lines, rate)
+                block = formats.parse_samples(lines)
             except formats.ParseError as exc:
                 if exc.line == 1:  # the header, no row above it
                     raise
                 fault = formats.ParseError(exc.message, first + exc.line - 2)
-                block = formats.parse_samples(lines[:exc.line - 1], rate)  # the rows above it
+                block = formats.parse_samples(lines[:exc.line - 1])  # the rows above it
             del lines
             try:
                 vm, sums = pipeline.process_block(block)

@@ -15,6 +15,8 @@ Validation happens once per sample, at the pipeline's boundary: `RawSample`
 rejects non-finite values when it is built (inline for four floats, through
 `require_finite` for anything else), and `CountsPipeline.process_sample`
 rejects an off-grid timestamp and any axis beyond the filters' input limit.
+The sample grid is checked here alone (`process_block` checks it as arrays,
+seams included); `io.parse_samples` reads timestamps without checking them.
 The public stage functions (`rectify_threshold`, `contribution`,
 `AxisWindow.push`, `vm`) each check their own input and then call a private
 kernel that does not. After the filters' `Biquad.step`, the pipeline calls
@@ -58,12 +60,6 @@ def check_sample_step(prev_t: float, t: float, sample_rate_hz: float) -> None:
         raise ValueError(
             f"sample at t={t} is not one {sample_rate_hz} Hz step after t={prev_t}"
         )
-
-
-def _on_grid(prev_t: np.ndarray, t: np.ndarray, sample_rate_hz: float) -> np.ndarray:
-    """Where `check_sample_step(prev_t, t, sample_rate_hz)` passes, element-wise."""
-    step = t - prev_t
-    return (step > 0) & (np.abs(step - 1.0 / sample_rate_hz) <= 1e-9)
 
 
 class _RawSampleFields(NamedTuple):
@@ -390,8 +386,8 @@ class CountsPipeline:
         if n == 0:
             return np.empty(0), np.empty((0, 3))
         t, rate = block[:, 0], cfg.sample_rate_hz
-        prev = np.concatenate(([t[0] if last_t is None else last_t], t[:-1]))
-        ok = _on_grid(prev, t, rate)
+        step = t - np.concatenate(([t[0] if last_t is None else last_t], t[:-1]))
+        ok = (step > 0) & (np.abs(step - 1.0 / rate) <= 1e-9)  # as `check_sample_step`
         ok[0] |= last_t is None
         ok &= np.isfinite(block).all(axis=1) & (np.abs(block[:, 1:]) <= self._input_limit).all(1)
         if not (ok.all() and self._windows[0]._qmax < 2.0**63 and w <= 2**21 and n + w < 2**31):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ._checks import require_finite
 
@@ -174,17 +174,9 @@ class Biquad:
         self._s2 = c.b2 * x - c.a2 * y
         return y
 
-    def process(self, xs: Iterable[float]) -> list[float]:
-        """Filter a whole sequence, advancing the internal state, as `step` would;
-        a non-finite value anywhere is rejected before any value is consumed."""
-        xs = list(xs)
-        for x in xs:
-            if not math.isfinite(x):
-                raise ValueError(f"filter input must be finite, got {x!r}")
-        return self._process(xs)
-
     def _process(self, xs: list[float]) -> list[float]:
-        """`process` for finite input: `step`'s arithmetic, registers read and written once."""
+        """Filter a sequence of finite inputs, bit for bit as `step` would, the
+        registers read and written once."""
         c = self.coeffs
         b0, b1, b2, a1, a2 = c.b0, c.b1, c.b2, c.a1, c.a2
         s1, s2 = self._s1, self._s2

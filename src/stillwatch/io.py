@@ -24,13 +24,14 @@ format that is read back; counts, trace and snapshots are only written.
 
 Raw samples, the one format read at length, are parsed in two stages into
 one float64 array of t, ax, ay, az rows. numpy reads the body, and the
-array's values and timestamp grid are checked as arrays. A file that fails
-any of that is parsed again line by line, and that parser alone decides: it
-accepts what float() reads, which includes every token numpy does, or names
-the first bad line. The counts and the wide trace are written to a text
-stream a block of %-formatted rows at a time, from blocks given one after
-another, so a writer that is handed each chunk as it is made holds one
-chunk, never the whole table or its text.
+array's values are checked as arrays. A file that fails any of that is
+parsed again line by line, and that parser alone decides: it accepts what
+float() reads, which includes every token numpy does, or names the first
+bad line. Timestamps are not checked: the sample grid is the counting
+pipeline's. The counts and the wide trace are written to a text stream a
+block of %-formatted rows at a time, from blocks given one after another,
+so a writer that is handed each chunk as it is made holds one chunk, never
+the whole table or its text.
 
 Formats:
   samples        t,ax,ay,az                     raw accelerometer stream
@@ -54,7 +55,6 @@ from typing import Callable, Iterable, Iterator, Literal, Sequence, TextIO
 
 import numpy as np
 
-from .counts import CountsConfig, _on_grid, check_sample_step
 from .detector import DetectorEvent, EventKind
 from .device import Button, DeviceSnapshot
 from . import sim
@@ -159,20 +159,29 @@ def _parse_choice(choices: tuple[str, ...], token: str, line: int, what: str) ->
     return token
 
 
-def _csv_rows(text: str, header: str) -> Iterator[tuple[int, list[str]]]:
-    """Yield CSV text's (line number, fields) rows, one at a time, after checking
-    the header. A line is checked as it is reached, so a caller's check of a row's
-    values runs before any line below it is read: the first bad line is named."""
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
+def _csv_rows(text: str | Sequence[bytes], header: str) -> Iterator[tuple[int, list[str]]]:
+    """Yield the (line number, fields) rows of CSV text, or of its byte lines as
+    a binary file yields them, one at a time, after checking the header. A line
+    is decoded and checked as it is reached, so a caller's check of a row's
+    values runs before any line below it is read: the first bad line is named,
+    a byte line that is not UTF-8 included."""
+    lines = text.split("\n") if isinstance(text, str) else text
+    if lines and not lines[-1]:  # after the text's last LF, or an empty file's b""
+        lines = lines[:-1]
     if not lines:
         raise ParseError(f"empty input, expected header {header!r}", 1)
-    if lines[0].rstrip("\r") != header:
-        raise ParseError(f"expected header {header!r}, got {lines[0]!r}", 1)
     n_fields = header.count(",") + 1
-    for i, raw in enumerate(lines[1:], start=2):
+    for i, raw in enumerate(lines, start=1):
+        if not isinstance(raw, str):
+            try:
+                raw = raw.decode("utf-8").removesuffix("\n")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"not valid UTF-8: {exc.reason}", i) from None
         line = raw.rstrip("\r")
+        if i == 1:
+            if line != header:
+                raise ParseError(f"expected header {header!r}, got {raw!r}", 1)
+            continue
         if line == "":
             raise ParseError("blank line in data", i)
         fields = line.split(",")
@@ -213,18 +222,15 @@ def _csv_blocks(columns: Sequence[np.ndarray]) -> Iterable[str]:
 # Raw sample streams
 
 
-def parse_samples(
-    text: str | Sequence[bytes], sample_rate_hz: float = CountsConfig().sample_rate_hz
-) -> np.ndarray:
-    """Parse a raw sample CSV into a float64 (n, 4) array of t, ax, ay, az
-    rows, checking that each timestamp is one sample period after the one before.
+def parse_samples(text: str | Sequence[bytes]) -> np.ndarray:
+    """Parse a raw sample CSV into a float64 (n, 4) array of t, ax, ay, az rows.
+    Timestamps are not checked: `CountsPipeline` refuses a row off its sample grid.
 
     `text` is the CSV's text, or its byte lines as a binary file yields them,
     header first, so a chunk of a file parses under its header, unjoined. numpy
     reads the body and its values are checked as arrays; a file that fails any
     of that is parsed again line by line, which decides: it returns the same
-    array or raises on the first bad line (a byte line that is not UTF-8 after
-    any fault above it).
+    array or raises on the first bad line, a byte line that is not UTF-8 included.
     """
     lines = text.split("\n") if isinstance(text, str) else text
     if lines[-1:] == [""]:  # after the text's last LF; a byte line keeps its own
@@ -242,18 +248,8 @@ def parse_samples(
             values = None
         # loadtxt skips blank lines, which the row count shows.
         if values is not None and values.shape == (len(body), 4) and np.isfinite(values).all():
-            if _on_grid(values[:-1, 0], values[1:, 0], sample_rate_hz).all():
-                return values
-    if not isinstance(text, str):
-        for number, line in enumerate(lines, start=1):
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                if number > 1:  # a fault above this line is named first
-                    _parse_sample_lines(b"".join(lines[:number - 1]).decode(), sample_rate_hz)
-                raise ParseError(f"not valid UTF-8: {exc.reason}", number) from None
-        text = b"".join(lines).decode()
-    return _parse_sample_lines(text, sample_rate_hz)
+            return values
+    return _parse_sample_lines(text)
 
 
 def _bare(line: str | bytes) -> str:
@@ -262,21 +258,14 @@ def _bare(line: str | bytes) -> str:
     return text.rstrip("\r\n")
 
 
-def _parse_sample_lines(text: str, sample_rate_hz: float) -> np.ndarray:
+def _parse_sample_lines(text: str | Sequence[bytes]) -> np.ndarray:
     """`parse_samples` one line at a time; the first problem raises on its line."""
     rows: list[tuple[float, float, float, float]] = []
-    prev_t: float | None = None
     for i, fields in _csv_rows(text, SAMPLES_HEADER):
         t = _parse_float(fields[0], i, "t")
         ax = _parse_float(fields[1], i, "ax")
         ay = _parse_float(fields[2], i, "ay")
         az = _parse_float(fields[3], i, "az")
-        if prev_t is not None:
-            try:
-                check_sample_step(prev_t, t, sample_rate_hz)
-            except ValueError as e:
-                raise ParseError(str(e), i) from None
-        prev_t = t
         rows.append((t, ax, ay, az))
     return np.array(rows, dtype=float).reshape(-1, 4)
 

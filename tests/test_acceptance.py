@@ -136,9 +136,9 @@ def test_criterion_5_sliding_window_oracle():
             sums[k] = pipeline.epoch_sums
         for axis in range(3):
             chain = [Biquad(c) for c in pipeline.sections]
-            ys = xyz[:, axis]
+            ys = xyz[:, axis].tolist()
             for biquad in chain:
-                ys = biquad.process(ys)
+                ys = biquad._process(ys)
             cs = [contribution(rectify_threshold(y, cfg), cfg) for y in ys]
             assert np.array_equal(sums[:, axis], fsum_window_sums(cs, cfg.window_samples))
     _report(5, "100 random 30 s streams: every epoch sum equals math.fsum of its window")

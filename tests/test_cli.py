@@ -295,6 +295,30 @@ class TestBlockCounting:
         assert main([command, str(src)]) == 1
         assert capsys.readouterr().err.startswith("error: line 3: sample at t=0.01 exceeds")
 
+    @pytest.mark.parametrize("text,t,prev_t", [
+        ("t,ax,ay,az\n0.02,0,0,1\n0.01,0,0,1\n", "0.01", "0.02"),
+        ("t,ax,ay,az\n0.00,0,0,1\n0.02,0,0,1\n", "0.02", "0.0"),
+        # before a line that does not parse, in the same chunk
+        ("t,ax,ay,az\n0,0,0,1\n0.02,0,0,1\n0.03,0,0\n", "0.02", "0.0"),
+    ])
+    @pytest.mark.parametrize("command", ["counts", "detect"])
+    def test_an_off_grid_row_is_named_by_its_line(self, command, text, t, prev_t, tmp_path,
+                                                  capsys):
+        src = tmp_path / "grid.csv"
+        src.write_text(text)
+        assert main([command, str(src)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: line 3: sample at t={t} is not one 100.0 Hz step after t={prev_t}\n")
+
+    @pytest.mark.parametrize("command", ["counts", "detect"])
+    def test_the_grid_is_the_configured_rate(self, command, tmp_path, capsys):
+        src, config = tmp_path / "samples.csv", tmp_path / "config.txt"
+        src.write_text("t,ax,ay,az\n0.00,0,0,1\n0.01,0,0,1\n")
+        config.write_text("[counts]\nsample_rate_hz = 50\n")
+        assert main([command, str(src), "--config", str(config)]) == 1
+        assert capsys.readouterr().err == (
+            "error: line 3: sample at t=0.01 is not one 50.0 Hz step after t=0.0\n")
+
     def test_counts_equal_the_streaming_rows(self, sample_file, tmp_path):
         out = tmp_path / "counts.csv"
         assert main(["counts", str(sample_file), "-o", str(out)]) == 0

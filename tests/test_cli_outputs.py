@@ -8,6 +8,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "cli_outputs.py"
 GOLDEN_EVENTS = ROOT / "tests" / "data" / "figure3_events.csv"
+GOLDEN_ERRORS = ROOT / "tests" / "data" / "cli_errors.txt"
 TREE = {
     "inputs/samples.csv", "inputs/custom.cfg", "inputs/scenario.txt",
     "inputs/scenario_seams.txt", "simulate_seams_trace.csv", "simulate_seams_events.csv",
@@ -38,6 +39,7 @@ def test_script_writes_the_output_tree(tmp_path):
     assert all((out / name).stat().st_size > 0 for name in files)
     assert len((out / "design_filter_order6.txt").read_text().splitlines()) == 3
     assert (out / "figure3" / "figure3_events.csv").read_bytes() == GOLDEN_EVENTS.read_bytes()
+    assert (out / "errors.txt").read_bytes() == GOLDEN_ERRORS.read_bytes()
     assert (out / "detect_crlf.csv").read_bytes() == (out / "detect_default.csv").read_bytes()
     stdout_trace = (out / "simulate_stdout_trace.csv").read_bytes()
     assert stdout_trace == (out / "simulate_default_trace.csv").read_bytes()

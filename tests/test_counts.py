@@ -379,7 +379,7 @@ class TestPipeline:
         chain = [Biquad(c) for c in pipeline.sections]
         impulse = [1.0] + [0.0] * 1999
         for biquad in chain:
-            impulse = biquad.process(impulse)
+            impulse = biquad._process(impulse)
         signs = np.sign(impulse[::-1])
         for k, s in enumerate(signs):
             v = float(s) * limit
@@ -425,9 +425,9 @@ class TestPipeline:
         # exactly re-summed trailing windows
         for axis in range(3):
             chain = [Biquad(c) for c in pipeline.sections]
-            ys = xyz[:, axis]
+            ys = xyz[:, axis].tolist()
             for biquad in chain:
-                ys = biquad.process(ys)
+                ys = biquad._process(ys)
             expected = fsum_window_sums(thresholded(ys, cfg), cfg.window_samples)
             assert np.array_equal(sums[:, axis], expected)
 

@@ -9,16 +9,17 @@ movement meet the watch's vibrations, all written as text here rather than by
 stillwatch. From them the script runs `counts` and `detect` (stock and custom
 configuration; `detect` also on a CRLF copy of the samples, which must give
 the same events), `simulate` (trace and events, both configurations, the
-stock trace once more from stdout, which must be the same bytes, and the
-second scenario under the stock configuration),
+stock trace once more from stdout, which must be the same bytes, the
+second scenario under the stock configuration, and the first under a
+configuration of few-tick durations, whose events fill many chunks),
 `design-filter --order 2/4/6` and `figure3`, and round-trips the configuration
 and scenario files through their parsers and serializers. `errors.txt` holds
 the exit code and stderr of each command refused for a fixed bad input: sample
 files for `counts` and `detect`, with faults in chunks that parse and in chunks
 that do not, some also under a 0.001 g dead-band, whose blocks are counted row
 by row, configuration files for `detect`, and for `simulate` a scenario that
-does not parse and one refused mid-run; no refused command may leave an output
-file. Everything lands under OUT_DIR, so two commits
+does not parse and one refused mid-run, both with `--events`; no refused
+command may leave an output file. Everything lands under OUT_DIR, so two commits
 compare with one command:
 
     PYTHONPATH=path/to/other/src python3 scripts/cli_outputs.py /tmp/other
@@ -177,6 +178,15 @@ t = 98.01
 button = power
 """
 
+# Inactivity and vibration of a few ticks: the watch vibrates and resets tens
+# of times a second, so a run is thousands of chunks of a few ticks, each
+# written with its events as it is run.
+EVENT_DENSE_CONFIG = """\
+[device]
+inactivity_options = 0.05, 0.1, 0.2
+vibration_seconds = 0.02
+"""
+
 
 def grid_csv(rows: int, spoilt: dict[int, bytes]) -> bytes:
     """A sample file of `rows` rows on the sample grid, the row on each line
@@ -304,10 +314,11 @@ def refusals(scratch: Path, samples: str) -> str:
     for name, text in BAD_CONFIGS.items():
         config = write(scratch / f"{name}.cfg", text)
         cases.append((f"detect --config {name}", ["detect", samples, "--config", config]))
+    events = ["--events", str(scratch / "refused_events")]
     scenario = write(scratch / "unknown_segment_kind.txt", BAD_SCENARIO)
-    cases.append(("simulate unknown_segment_kind", ["simulate", scenario]))
+    cases.append(("simulate unknown_segment_kind", ["simulate", scenario, *events]))
     scenario = write(scratch / "burst_over_input_limit.txt", OVER_LIMIT_SCENARIO)
-    cases.append(("simulate burst_over_input_limit", ["simulate", scenario]))
+    cases.append(("simulate burst_over_input_limit", ["simulate", scenario, *events]))
     blocks = []
     for title, argv in cases:
         err = io.StringIO()
@@ -315,7 +326,7 @@ def refusals(scratch: Path, samples: str) -> str:
             code = main([*argv, "-o", str(scratch / "refused_output")])
         if code != 1:
             raise SystemExit(f"stillwatch {title} exited with {code}, not 1")
-        if (scratch / "refused_output").exists():
+        if any((scratch / name).exists() for name in ("refused_output", "refused_events")):
             raise SystemExit(f"stillwatch {title} left an output behind")
         blocks.append(f"# {title}\nexit {code}\n{err.getvalue()}")
     return "\n".join(blocks)
@@ -342,6 +353,10 @@ def write_tree(out_dir: Path) -> None:
     seams = write(inputs / "scenario_seams.txt", SEAMS_SCENARIO)
     run(["simulate", seams, "-o", str(out_dir / "simulate_seams_trace.csv"),
          "--events", str(out_dir / "simulate_seams_events.csv")])
+    dense = write(inputs / "event_dense.cfg", EVENT_DENSE_CONFIG)
+    run(["simulate", scenario, "--config", dense,
+         "-o", str(out_dir / "simulate_event_dense_trace.csv"),
+         "--events", str(out_dir / "simulate_event_dense_events.csv")])
     # The copy stays out of the tree: it is the samples input with CRLF line
     # ends, which reach `parse_samples` as written and take its numpy path.
     # So do the bad inputs, whose refusals errors.txt holds.

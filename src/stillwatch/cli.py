@@ -12,10 +12,12 @@ Subcommands:
 lines are parsed, then dropped, and its array is counted as one block, so their
 memory does not grow with the file. A fault found parsing or counting names the
 file's first bad line, with no chunk run twice, and nothing is written.
-`simulate` writes each chunk of ticks as it is run, so its memory does not grow
-with the scenario. The rows of `counts` and `simulate` go to a temporary file,
-copied to the output only once the whole input has run, so a refusal mid-way
-(a sample past the filters' input limit) leaves no output behind.
+`simulate` writes each chunk of ticks, and the events emitted in it, as it is
+run and drops it before the next, so its memory does not grow with the
+scenario or its events. The rows of `counts` and `simulate` go to temporary
+files, copied to the outputs (the trace, then the events) only once the whole
+input has run, so a refusal mid-way (a sample past the filters' input limit)
+leaves no output behind.
 
 All outputs are deterministic for identical inputs. Exit codes: 0 on success,
 2 for usage errors, 1 for I/O or validation failures (one-line diagnostic on
@@ -144,18 +146,22 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     scenario = formats.parse_scenario(_read_text(args.scenario))
-    events: list = []
+    with contextlib.ExitStack() as staged:
+        # Entered last, the trace is copied out first, then the events.
+        events = None if args.events is None else staged.enter_context(
+            _staged_output(args.events))
+        trace = staged.enter_context(_staged_output(args.output))
+        if events is not None:
+            events.write(formats.EVENTS_HEADER + "\n")
 
-    def blocks():
-        for block in sim._run_blocks(scenario, config):
-            events.extend(block.events)
-            yield block
+        def blocks():
+            for block in sim._run_blocks(scenario, config):
+                if events is not None:
+                    events.write(formats._event_rows(block.events))
+                yield block
+                del block  # not held while the next chunk is run
 
-    with _staged_output(args.output) as out:
-        formats.serialize_trace(blocks(), out)
-    if args.events is not None:
-        with _open_output(args.events) as out:
-            out.write(formats.serialize_events(events))
+        formats.serialize_trace(blocks(), trace)
     return 0
 
 

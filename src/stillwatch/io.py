@@ -28,10 +28,10 @@ array's values are checked as arrays. A file that fails any of that is
 parsed again line by line, and that parser alone decides: it accepts what
 float() reads, which includes every token numpy does, or names the first
 bad line. Timestamps are not checked: the sample grid is the counting
-pipeline's. The counts and the wide trace are written to a text stream a
-block of %-formatted rows at a time, from blocks given one after another,
-so a writer that is handed each chunk as it is made holds one chunk, never
-the whole table or its text.
+pipeline's. The counts and the wide trace are written to a text stream from
+blocks given one after another, a sub-block of %-formatted rows at a time,
+so a writer that is handed each chunk as it is made holds one chunk's arrays
+and a few rows of text, never the whole table or its text.
 
 Formats:
   samples        t,ax,ay,az                     raw accelerometer stream
@@ -47,7 +47,6 @@ Formats:
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import typing
 from dataclasses import MISSING, fields
@@ -196,26 +195,40 @@ def _format_rows(header: str, formats: Sequence[Callable], rows: Iterable[Sequen
     return "\n".join([header, *map(",".join, zip(*texts))]) + "\n"
 
 
-# Counts and trace rows, one %-operation per block of `sim._BLOCK_ROWS` rows:
-# the row format, once per row, over the block's values in row order. %.9g
-# writes a float as _g9 does once `+ 0` turns -0.0 into 0.0, %d a flag (an int
-# after `+ 0`) as 0/1 and an option as its digit. A column constant over the
-# block is formatted once, into the row format; a NaN equals nothing, so is
-# per row.
+# Rows formatted by one %-operation at a time, so the text and the Python
+# floats held at once are this many rows', not a block's.
+_SUB_BLOCK_ROWS = 128
+
+
+# Counts and trace rows, a block of `sim._BLOCK_ROWS` rows at a time. A column
+# constant over the block is formatted once, into the row format; a NaN equals
+# nothing, so is per row. The varying columns are copied into one float array,
+# whose `+= 0.0` turns -0.0 into 0.0, and each sub-block of it is written by
+# one %-operation: the row format, once per row, over its values in row order.
+# %.9g writes a float as _g9 does, %d a flag as 0/1 and an option as its
+# digits, which a float holds exactly only up to 2**53.
 def _csv_blocks(columns: Sequence[np.ndarray]) -> Iterable[str]:
-    """The CSV rows of equal-length columns, one block of rows at a time."""
+    """The CSV rows of equal-length columns, a sub-block of rows at a time."""
     for start in range(0, len(columns[0]), sim._BLOCK_ROWS):
         formats, varying = [], []
         for column in columns:
-            block = column[start:start + sim._BLOCK_ROWS] + 0
+            block = column[start:start + sim._BLOCK_ROWS]
             directive = "%.9g" if block.dtype == np.float64 else "%d"
             if (block == block[0]).all():
-                formats.append(directive % block[0])
+                formats.append(directive % (block[0] + 0))
             else:
+                if block.dtype == np.int64 and not (abs(block) <= 2**53).all():
+                    raise ValueError("integers beyond 2**53 are not written exactly")
                 formats.append(directive)
-                varying.append(block.tolist())
-        rows = (",".join(formats) + "\n") * len(block)
-        yield rows % tuple(itertools.chain.from_iterable(zip(*varying)))
+                varying.append(block)
+        values = np.empty((len(block), len(varying)))
+        for j, column in enumerate(varying):
+            values[:, j] = column
+        values += 0.0
+        row = ",".join(formats) + "\n"
+        for sub in range(0, len(values), _SUB_BLOCK_ROWS):
+            part = values[sub:sub + _SUB_BLOCK_ROWS]
+            yield (row * len(part)) % tuple(part.ravel().tolist())
 
 
 # --------------------------------------------------------------------------
@@ -286,6 +299,7 @@ def serialize_counts(blocks: Iterable[np.ndarray], out: TextIO) -> None:
     out.write(COUNTS_HEADER + "\n")
     for block in blocks:
         out.writelines(_csv_blocks(block.T))
+        del block  # not held while the next is made
 
 
 def parse_events(text: str) -> list[DetectorEvent]:
@@ -296,7 +310,12 @@ def parse_events(text: str) -> list[DetectorEvent]:
 
 
 def serialize_events(events: Iterable[DetectorEvent]) -> str:
-    return _format_rows(EVENTS_HEADER, (_g9, str), ((e.t, e.kind) for e in events))
+    return EVENTS_HEADER + "\n" + _event_rows(events)
+
+
+def _event_rows(events: Iterable[DetectorEvent]) -> str:
+    """The event CSV's rows without its header, as a stream writes each chunk's."""
+    return "".join(f"{_g9(e.t)},{e.kind}\n" for e in events)
 
 
 # --------------------------------------------------------------------------
@@ -310,6 +329,7 @@ def serialize_trace(blocks: Iterable[SimulationTrace], out: TextIO) -> None:
     out.write(TRACE_HEADER + "\n")
     for block in blocks:
         out.writelines(_csv_blocks([getattr(block, name) for name, _ in TRACE_COLUMNS]))
+        del block  # not held while the next is made
 
 
 # --------------------------------------------------------------------------

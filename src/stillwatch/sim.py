@@ -236,8 +236,9 @@ def _segment_rows(segment: Segment, t: np.ndarray, xyz: np.ndarray) -> None:
 # changing it changes every noisy sample.
 _NOISE_BLOCK = 256
 
-# Most ticks `run` advances at once, and rows a long stream is read or written
-# at a time (`io.serialize_trace`, `cli._count_file`): memory for one block.
+# Most ticks `run` advances at once, lines `cli._count_file` reads at a time,
+# and rows `io._csv_blocks` decides its constant columns over: memory for
+# one block. The writer formats a block's rows a sub-block at a time.
 _BLOCK_ROWS = 1024
 
 
@@ -490,6 +491,7 @@ def _run_blocks(scenario: Scenario, config: ConfigFile) -> Iterator[SimulationTr
         motor = bool(block.motor[-1])
         k = stop
         yield block
+        del block, rows, vm, sums, watch  # not held while the next chunk is made
 
 
 def canonical_scenario(

@@ -492,17 +492,20 @@ class TestBoundedMemory:
     ticks, so their peak does not grow with the input (tracemalloc: Python
     objects and numpy buffers)."""
 
-    # Measured on these files after a first run: 6k rows peak at 0.19 MB
-    # (detect) and 0.42 MB (counts), 60k rows 0.02 and 0.01 MB above that.
-    # The counts peak is the row writer's one block: its varying columns as
-    # lists of floats, their values in row order and the block's text; with
-    # each row formatted as a string of its own, then joined, 0.45 MB.
-    # Parsing each chunk from its joined text and holding its lines while it
-    # was counted, 0.46 and 0.57 MB; counting the whole file at once, 1.2 and
-    # 11.5 MB (detect), 1.8 and 15.0 MB (counts).
+    # Measured on these files after a first run: 6k rows peak at 0.17 MB
+    # (detect) and 0.21 MB (counts), 60k rows 0.02 and 0.01 MB above that;
+    # `simulate` on the canonical scenario at 0.25 MB, at 30 s and at 300 s.
+    # The row writer holds a block's varying values in one float array and
+    # one sub-block of rows as Python floats and text. Holding the block's
+    # values as lists of floats and its text at once, counts peaked at 0.42 MB
+    # and simulate at 0.61 MB; with each row formatted as a string of its own,
+    # then joined, counts at 0.45 MB. Parsing each chunk from its joined text
+    # and holding its lines while it was counted, 0.46 and 0.57 MB; counting
+    # the whole file at once, 1.2 and 11.5 MB (detect), 1.8 and 15.0 MB (counts).
     MARGIN_MB = 0.1
     DETECT_PEAK_MB = 0.35
-    COUNTS_PEAK_MB = 0.55
+    COUNTS_PEAK_MB = 0.3
+    SIMULATE_PEAK_MB = 0.35
 
     @pytest.fixture(scope="class")
     def files(self, tmp_path_factory):
@@ -547,19 +550,40 @@ class TestBoundedMemory:
         peak = self.peak_mb(argv)
         assert peak < self.COUNTS_PEAK_MB, peak
 
+    # Durations of a few ticks: the watch emits about 40 events a second, so
+    # the events are most of what a run could accumulate.
+    EVENT_DENSE_CONFIG = ("[device]\ninactivity_options = 0.05, 0.1, 0.2\n"
+                          "vibration_seconds = 0.02\n")
+
     def test_simulate_peak_does_not_grow_with_the_scenario(self, tmp_path):
-        # Each chunk of ticks is written before the next is run. Measured:
-        # 0.61 MB at 30 s, 300 s and 3,000 s; holding the trace arrays until
-        # the run ended, 0.77, 2.94 and 24.6 MB (84 B per tick).
-        argv = {}
-        for seconds in (30.0, 300.0):
-            path = tmp_path / f"scenario_{seconds:g}.txt"
-            path.write_text(serialize_scenario(canonical_scenario(seconds)))
-            argv[seconds] = ["simulate", str(path), "-o", str(tmp_path / "trace.csv"),
-                             "--events", str(tmp_path / "events.csv")]
-        self.peak_mb(argv[30.0])  # first-use caches are not the run's
-        short, long = self.peak_mb(argv[30.0]), self.peak_mb(argv[300.0])
-        assert long < short + self.MARGIN_MB, (short, long)
+        # Each chunk of ticks, and its events, is written before the next is
+        # run. Measured: 0.25 MB at 30 s and 300 s; event-dense, 0.19 MB at
+        # 10 s (385 events) and 40 s (1,669). Holding the trace arrays until
+        # the run ended, 0.77 and 2.94 MB (84 B per tick); holding the events,
+        # 0.25 and 0.47 MB event-dense.
+        config = tmp_path / "event_dense.cfg"
+        config.write_text(self.EVENT_DENSE_CONFIG)
+        for durations, config_argv in (((30.0, 300.0), []),
+                                       ((10.0, 40.0), ["--config", str(config)])):
+            argv = []
+            for seconds in durations:
+                path = tmp_path / f"scenario_{seconds:g}.txt"
+                path.write_text(serialize_scenario(canonical_scenario(seconds)))
+                argv.append(["simulate", str(path), *config_argv,
+                             "-o", str(tmp_path / "trace.csv"),
+                             "--events", str(tmp_path / "events.csv")])
+            assert main(argv[0]) == 0  # first-use caches are not the run's
+            short, long = map(self.peak_mb, argv)
+            assert long < short + self.MARGIN_MB, (durations, short, long)
+
+    def test_simulate_holds_one_chunk_and_a_sub_block_of_text(self, tmp_path):
+        path = tmp_path / "scenario.txt"
+        path.write_text(serialize_scenario(canonical_scenario(30.0)))
+        argv = ["simulate", str(path), "-o", str(tmp_path / "trace.csv"),
+                "--events", str(tmp_path / "events.csv")]
+        self.peak_mb(argv)  # first-use caches are not the run's
+        peak = self.peak_mb(argv)
+        assert peak < self.SIMULATE_PEAK_MB, peak
 
 
 class TestSimulate:
@@ -643,6 +667,17 @@ class TestSimulate:
             assert err.startswith("error: sample at t=15.57 exceeds 4.82e+305 g, "), err
             assert out == ""
             assert not trace_path.exists() and not events_path.exists()
+
+    def test_the_trace_is_copied_out_before_the_events(self, tmp_path, capsys):
+        # Both are staged as the run goes; a trace that cannot be written
+        # stops the events from being written too.
+        scenario_path = tmp_path / "scenario.txt"
+        scenario_path.write_text(serialize_scenario(canonical_scenario(12.0)))
+        events_path = tmp_path / "events.csv"
+        assert main(["simulate", str(scenario_path), "-o", str(tmp_path / "no_dir" / "t.csv"),
+                     "--events", str(events_path)]) == 1
+        assert "No such file or directory" in capsys.readouterr().err
+        assert not events_path.exists()
 
     def test_scenario_parse_error_is_line_addressed(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

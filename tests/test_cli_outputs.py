@@ -12,6 +12,8 @@ GOLDEN_ERRORS = ROOT / "tests" / "data" / "cli_errors.txt"
 TREE = {
     "inputs/samples.csv", "inputs/custom.cfg", "inputs/scenario.txt",
     "inputs/scenario_seams.txt", "simulate_seams_trace.csv", "simulate_seams_events.csv",
+    "inputs/event_dense.cfg", "simulate_event_dense_trace.csv",
+    "simulate_event_dense_events.csv",
     "counts_default.csv", "counts_custom.csv", "detect_default.csv", "detect_custom.csv",
     "detect_crlf.csv",
     "simulate_default_trace.csv", "simulate_default_events.csv",
@@ -41,5 +43,6 @@ def test_script_writes_the_output_tree(tmp_path):
     assert (out / "figure3" / "figure3_events.csv").read_bytes() == GOLDEN_EVENTS.read_bytes()
     assert (out / "errors.txt").read_bytes() == GOLDEN_ERRORS.read_bytes()
     assert (out / "detect_crlf.csv").read_bytes() == (out / "detect_default.csv").read_bytes()
+    assert len((out / "simulate_event_dense_events.csv").read_text().splitlines()) > 3000
     stdout_trace = (out / "simulate_stdout_trace.csv").read_bytes()
     assert stdout_trace == (out / "simulate_default_trace.csv").read_bytes()

@@ -345,20 +345,25 @@ class TestEvents:
 
 
 # Runs of one value and their lengths, for a trace column of each dtype: runs
-# of 1023-2049 rows make a column constant over a whole block, or up to a seam.
-RUN_LENGTHS = st.sampled_from((1, 2, 1023, 1024, 1025, 2049))
+# of 1023-2049 rows make a column constant over a whole block, or up to a seam,
+# and runs of 127-129 end at either side of a sub-block seam. An option takes
+# any integer a float holds exactly.
+STEP = stillwatch.io._SUB_BLOCK_ROWS
+RUN_LENGTHS = st.sampled_from((1, 2, STEP - 1, STEP, STEP + 1, 1023, 1024, 1025, 2049))
 RUN_VALUES = {
     np.float64: st.sampled_from((0.0, -0.0, math.nan, 1.5, 1e16)) | st.floats(),
     np.bool_: st.booleans(),
-    np.int64: st.integers(0, 2),
+    np.int64: st.integers(0, 2) | st.integers(-2**53, 2**53),
 }
 COLUMN_RUNS = st.tuples(*(st.lists(st.tuples(RUN_VALUES[dtype], RUN_LENGTHS), min_size=1,
                                    max_size=4) for _, dtype in TRACE_COLUMNS))
+CONSTANT = [[(1.5, 3000)]] * 9 + [[(False, 3000)]] * 4 + [[(1, 3000)]]
 
 
 class TestTrace:
     @settings(max_examples=150, deadline=None)
-    @given(st.sampled_from((0, 1, 1023, 1024, 1025, 2049)), COLUMN_RUNS)
+    @given(st.sampled_from((0, 1, STEP + 1, 300, 1023, 1024, 1025, 1024 + STEP + 2, 2049)),
+           COLUMN_RUNS)
     @example(2049, (
         [(0.0, 1), (-0.0, 2)],  # t: 0.0 and -0.0 in every block
         [(1.5, 1024), (2.5, 1)],  # ax: constant up to the first seam, not after it
@@ -370,6 +375,16 @@ class TestTrace:
         [(True, 1), (False, 1)],
         [(2, 1023), (0, 2)],
     ))
+    @example(1024 + STEP + 2, (  # a last partial sub-block in each block
+        [(0.0, STEP - 1), (1.0, 3000)],  # changes on a sub-block's last row
+        [(0.0, STEP), (1.0, 3000)],  # on the next sub-block's first
+        [(0.0, STEP + 1), (1.0, 3000)],  # on its second
+        *CONSTANT[3:9],
+        [(False, STEP), (True, 1)],
+        *CONSTANT[10:13],
+        [(0, STEP - 1), (2**53, 2), (-2**53, 1)],  # an option varying across the seam
+    ))
+    @example(300, (*CONSTANT[:11], [(False, 1), (True, 1)], *CONSTANT[12:]))  # only a flag varies
     def test_blocks_write_what_the_column_codecs_write(self, n, runs):
         columns = {}
         for (name, dtype), column_runs in zip(TRACE_COLUMNS, runs):
@@ -382,6 +397,18 @@ class TestTrace:
         # Line lists, so that a failure names the first row that differs.
         want = _format_rows(TRACE_HEADER, formats, rows).split("\n")
         assert trace_text(SimulationTrace(**columns)).split("\n") == want
+
+    def test_an_integer_a_float_cannot_hold_is_refused_not_rounded(self):
+        # Varying values are written from a float array: 2**53 + 1 would
+        # print as 2**53. A constant column is formatted from its integer.
+        n = 3
+        columns = {name: np.zeros(n, dtype) for name, dtype in TRACE_COLUMNS}
+        columns["option"][:] = 2**62 + 1
+        assert trace_text(SimulationTrace(**columns)).splitlines()[1].endswith(
+            f",{2**62 + 1}")
+        columns["option"][1] = 2**53 + 1
+        with pytest.raises(ValueError, match="beyond 2\\*\\*53"):
+            trace_text(SimulationTrace(**columns))
 
     def test_row_format_writes_what_the_column_codecs_write(self):
         trace = run(canonical_scenario(duration_seconds=12.0))

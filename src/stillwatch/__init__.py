@@ -5,6 +5,11 @@ vector-magnitude activity counts (band-pass filter, thresholds, count
 conversion, sliding 1 s epochs, Euclidean norm) and feeds an inactivity timer
 that triggers vibration alerts. A deterministic simulator reproduces the full
 watch, buttons and LEDs included, in closed loop with its own motor.
+
+The streaming core (`Biquad`, `CountsPipeline.process_sample`,
+`InactivityDetector.tick`, `Device.tick`) imports only the standard library.
+numpy loads on first use of a block path (`process_block`), of `sim`, whose
+names this package resolves on first access, of `io` or of the command line.
 """
 
 from .counts import (
@@ -43,19 +48,6 @@ from .filters import (
     design_bandpass_cascade,
     frequency_response,
 )
-from .sim import (
-    AmbientVibration,
-    BurstMovement,
-    ButtonPress,
-    MotorFeedback,
-    Rest,
-    Scenario,
-    ScenarioSampler,
-    SimulationTrace,
-    SineMovement,
-    canonical_scenario,
-    run,
-)
 
 __version__ = "0.1.0"
 
@@ -93,7 +85,7 @@ __all__ = [
     "SELECT",
     "RED_TOGGLE",
     "POWER",
-    # sim
+    # sim, resolved on first access by `__getattr__`
     "Scenario",
     "Rest",
     "SineMovement",
@@ -106,3 +98,16 @@ __all__ = [
     "run",
     "canonical_scenario",
 ]
+
+
+def __getattr__(name: str):
+    # The names of `__all__` not imported above are `sim`'s. `sim` imports numpy,
+    # so it loads on the first access to one of them.
+    if name in __all__:
+        from . import sim
+
+        value = globals()[name] = getattr(sim, name)
+        return value
+    # Any other name is not an attribute, so `from stillwatch import cli` goes
+    # on to import the submodule.
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

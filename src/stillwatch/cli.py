@@ -251,3 +251,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def app() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    app()

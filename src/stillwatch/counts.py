@@ -25,6 +25,9 @@ the stage checks can fire: the input limit keeps every filter output finite,
 rectifying bounds each contribution to [0, saturation], `_quantum_shift`
 makes every contribution a whole number of quanta, and nonnegative quanta
 give nonnegative epoch sums.
+
+The streaming path (`process_sample` and every stage under it) uses only the
+standard library; `process_block` imports numpy on its first call.
 """
 
 from __future__ import annotations
@@ -32,15 +35,17 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from array import array
 from dataclasses import dataclass, fields
 from math import isfinite
-from typing import NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from ._checks import require_finite
 from .filters import (_STOCK_ORDER, Biquad, BiquadCoefficients, FilterSpec, _as_sections,
                       design_bandpass_cascade)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "RawSample",
@@ -212,7 +217,8 @@ class AxisWindow:
         self._up = 2.0**shift
         self._down = 2.0**-shift
         self._qmax = contribution(config.saturation_g, config) * self._up
-        self._buf = np.zeros(config.window_samples).tolist()
+        # A distinct 0.0 per slot, as the docstring asks; `[0.0] * n` shares one.
+        self._buf = array("d", bytes(8 * config.window_samples)).tolist()
         self._idx = 0
         self._sum = 0
 
@@ -381,6 +387,8 @@ class CountsPipeline:
         refuses the first bad row; a refused block changes nothing, and its
         error carries that row's index in the block as `exc.row`.
         """
+        import numpy as np
+
         block = np.asarray(block, dtype=float).reshape(len(block), 4)
         cfg, n, w, last_t = self.config, len(block), self.config.window_samples, self._last_t
         if n == 0:

@@ -30,8 +30,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Literal
 
-import numpy as np
-
 from ._checks import require_finite, whole_ticks
 from .filters import FilterSpec
 
@@ -160,6 +158,8 @@ class InactivityDetector:
         Rejects a negative or non-finite count, or a `t` of another length,
         before any state changes.
         """
+        import numpy as np
+
         vm = np.asarray(vm, dtype=float)
         if len(t) != len(vm):
             raise ValueError(f"{len(t)} timestamps for {len(vm)} vm counts")

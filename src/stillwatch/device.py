@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Literal, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Literal, NamedTuple
 
 from ._checks import require_finite, whole_ticks
 from .detector import DetectorConfig, DetectorEvent, InactivityDetector, detector_tick
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SELECT",
@@ -185,6 +186,8 @@ class Device:
         motor, white, blue, red and option columns, in trace order. The caller
         ends the block where the motor may change: no row but the last turns it
         on or off."""
+        import numpy as np
+
         n = len(vm)
         if not self.power:
             off = np.zeros(n, dtype=bool)

@@ -292,8 +292,9 @@ class ScenarioSampler:
         self._block = np.empty((0, 3))
 
     def sample(self, k: int, motor_on: bool = False) -> RawSample:
-        """The raw sample at tick k; motor_on is the motor state one tick earlier."""
-        if not self.scenario.segments or not (0 <= k <= self.n_ticks):
+        """The raw sample at tick k, 0 <= k < n_ticks; motor_on is the motor state
+        one tick earlier."""
+        if not self.scenario.segments or not (0 <= k < self.n_ticks):
             raise ValueError(f"tick {k} outside scenario of {self.n_ticks} ticks")
         return RawSample(*self._rows(k, k + 1, motor_on)[0].tolist())
 

@@ -103,6 +103,14 @@ class TestDesignFilter:
     def test_unknown_flag_exits_2(self, capsys):
         assert main(["design-filter", "--ripple", "3"]) == 2
 
+    def test_runs_as_a_module(self, capsys):
+        # `python -m stillwatch.cli` from a checkout, with no console script.
+        assert main(["design-filter"]) == 0
+        env = {**os.environ, "PYTHONPATH": str(Path(stillwatch.__file__).parent.parent)}
+        done = subprocess.run([sys.executable, "-m", "stillwatch.cli", "design-filter"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (0, capsys.readouterr().out, "")
+
 
 class TestCounts:
     def test_header_only_in_header_only_out(self, tmp_path, capsys):
@@ -333,14 +341,17 @@ class TestBlockCounting:
         script = (
             "import sys\n"
             "from stillwatch.cli import main\n"
-            "samples, out = sys.argv[1:]\n"
+            "samples, out, out_dir = sys.argv[1:]\n"
             "assert main(['counts', samples, '-o', out]) == 0\n"
             "assert main(['detect', samples, '-o', out]) == 0\n"
+            "assert main(['figure3', '-o', out_dir]) == 0\n"
+            "assert main(['simulate', out_dir + '/figure3_scenario.txt', '-o', out,\n"
+            "             '--events', out_dir + '/events.csv']) == 0\n"
             "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(stillwatch.__file__).parent.parent)}
         done = subprocess.run([sys.executable, "-c", script, str(sample_file),
-                               str(tmp_path / "out.csv")],
+                               str(tmp_path / "out.csv"), str(tmp_path)],
                               env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
 

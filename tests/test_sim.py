@@ -165,7 +165,9 @@ class TestGenerate:
 
     def test_tick_outside_scenario_rejected(self):
         sampler = ScenarioSampler(QUIET_MINUTE)
-        for k in (-1, 6001):
+        # Ticks run from 0 to n_ticks - 1: tick 6000 would be t = 60.0, past the last.
+        assert sampler.n_ticks == 6000
+        for k in (-1, 6000, 6001):
             with pytest.raises(ValueError, match="outside"):
                 sampler.sample(k)
 
@@ -201,7 +203,7 @@ class TestBlockNoise:
         sigma = 0.003
         scenario = rest_scenario(duration=10.0, seed=41, sigma=sigma)
         sampler = ScenarioSampler(scenario)
-        for k in (0, 255, 256, 513, sampler.n_ticks - 1, sampler.n_ticks):
+        for k in (0, 255, 256, 513, sampler.n_ticks - 1):
             block = np.random.default_rng((41, k // 256)).normal(0.0, sigma, (256, 3))
             nx, ny, nz = block[k % 256].tolist()
             sample = sampler.sample(k)
@@ -209,7 +211,7 @@ class TestBlockNoise:
 
     def test_random_access_across_blocks(self):
         scenario = rest_scenario(duration=10.0, seed=42)
-        ticks = range(ScenarioSampler(scenario).n_ticks + 1)
+        ticks = range(ScenarioSampler(scenario).n_ticks)
         sequential = [ScenarioSampler(scenario).sample(k) for k in ticks]
         order = np.random.default_rng(0).permutation(len(ticks)).tolist()
         sampler = ScenarioSampler(scenario)
@@ -220,7 +222,7 @@ class TestBlockNoise:
     def test_noise_does_not_depend_on_duration(self):
         short = ScenarioSampler(rest_scenario(duration=10.0, seed=43))
         long = ScenarioSampler(rest_scenario(duration=60.0, seed=43))
-        shared = range(short.n_ticks + 1)
+        shared = range(short.n_ticks)
         assert [short.sample(k) for k in shared] == [long.sample(k) for k in shared]
 
     def test_blocks_are_keyed_by_index(self):
@@ -336,16 +338,17 @@ class TestMotorFeedbackRejection:
 
 
 class TestBlockSynthesis:
-    # Segment boundaries on the noise seams (ticks 256 and 512) and off the grid.
+    # Segment boundaries on the noise seams (ticks 256 and 512) and off the grid;
+    # 1,001 ticks, the last at t = 10.0.
     SCENARIO = Scenario(
-        10.0,
+        10.01,
         seed=46,
         segments=(
             Rest(0.0, 1.0),
             SineMovement(1.0, 2.56, "y", 0.8, 2.0),
             BurstMovement(2.56, 5.12, 3.0, 1.0),
             AmbientVibration(5.12, 7.005, 0.2, 12.0),
-            SineMovement(7.005, 10.0, "z", 1.5, 0.7),
+            SineMovement(7.005, 10.01, "z", 1.5, 0.7),
         ),
         motor_feedback=MotorFeedback(True, 0.5, 20.0),
     )

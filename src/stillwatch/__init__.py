@@ -39,7 +39,6 @@ from .device import (
     Device,
     DeviceConfig,
     DeviceSnapshot,
-    replay_event_log,
 )
 from .filters import (
     Biquad,
@@ -81,7 +80,6 @@ __all__ = [
     "Device",
     "DeviceConfig",
     "DeviceSnapshot",
-    "replay_event_log",
     "SELECT",
     "RED_TOGGLE",
     "POWER",

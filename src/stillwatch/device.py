@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Literal, NamedTuple
+from typing import TYPE_CHECKING, Literal, NamedTuple
 
 from ._checks import require_finite, whole_ticks
 from .detector import DetectorConfig, DetectorEvent, InactivityDetector, detector_tick
@@ -33,7 +33,6 @@ __all__ = [
     "DeviceConfig",
     "DeviceSnapshot",
     "Device",
-    "replay_event_log",
 ]
 
 Button = Literal["select", "red", "power"]
@@ -146,7 +145,8 @@ class Device:
 
     def press_button(self, button: Button, t: float) -> None:
         """Apply one button press, from the next tick on; no-op while off. `t` times
-        nothing (the watch counts ticks); it lets a timed input log replay as is."""
+        nothing (the watch counts ticks); it stays because `sim`, demo 04 and the
+        benchmark pass it."""
         if button not in _BUTTONS:
             raise ValueError(f"unknown button {button!r}")
         if not self.power:
@@ -213,22 +213,3 @@ class Device:
             (k - detector.vibration_start_tick) % period < period / 2.0
         )
         return timer, motor, np.ones(n, dtype=bool), blue, red, np.full(n, self.selected_option)
-
-
-def replay_event_log(
-    device: Device, records: Iterable[tuple[float, str, float | str]]
-) -> list[DeviceSnapshot]:
-    """Drive a device from a timed input log.
-
-    Each record is (t, kind, arg) with kind "sample" (arg: a VM count, one
-    snapshot row is produced) or "button" (arg: a button name, no row).
-    """
-    snapshots: list[DeviceSnapshot] = []
-    for t, kind, arg in records:
-        if kind == "sample":
-            snapshots.append(device.tick(float(arg), t))
-        elif kind == "button":
-            device.press_button(str(arg), t)
-        else:
-            raise ValueError(f"unknown input-log kind {kind!r}")
-    return snapshots

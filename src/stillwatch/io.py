@@ -20,7 +20,7 @@ trace's columns are the array fields of SimulationTrace.
 Parsers are strict: the first problem raises ParseError carrying the line
 number, and nothing is returned. Serializers emit canonical text, so
 serialize(parse(text)) reproduces canonical input byte for byte for every
-format that is read back; counts, trace and snapshots are only written.
+format that is read back; counts and trace are only written.
 
 Raw samples, the one format read at length, are parsed in two stages into
 one float64 array of t, ax, ay, az rows. numpy reads the body, and the
@@ -38,8 +38,6 @@ Formats:
   counts         t,vm,sx,sy,sz                  VM counts and epoch sums (written only)
   events         t,event                        detector event trace
   trace          t,ax,..,vm,..,timer,motor,...  wide simulation trace (written only)
-  device log     t,kind,arg                     timed device input
-  snapshots      t,motor,white,blue,red,option,timer  (written only)
   scenario       [scenario] [segment]... [motor_feedback] [button]...
   config         [filter] [counts] [detector] [device]
 """
@@ -55,7 +53,6 @@ from typing import Callable, Iterable, Iterator, Literal, Sequence, TextIO
 import numpy as np
 
 from .detector import DetectorEvent, EventKind
-from .device import Button, DeviceSnapshot
 from . import sim
 from .sim import (
     TRACE_COLUMNS,
@@ -80,9 +77,6 @@ __all__ = [
     "parse_events",
     "serialize_events",
     "serialize_trace",
-    "parse_device_log",
-    "serialize_device_log",
-    "serialize_snapshots",
     "parse_scenario",
     "serialize_scenario",
     "parse_config",
@@ -93,10 +87,7 @@ SAMPLES_HEADER = "t,ax,ay,az"
 COUNTS_HEADER = "t,vm,sx,sy,sz"
 EVENTS_HEADER = "t,event"
 TRACE_HEADER = ",".join(name for name, _ in TRACE_COLUMNS)
-DEVICE_LOG_HEADER = "t,kind,arg"
-SNAPSHOTS_HEADER = "t,motor,white,blue,red,option,timer"
 
-_BUTTONS = typing.get_args(Button)
 _EVENT_KINDS = typing.get_args(EventKind)
 
 
@@ -121,10 +112,6 @@ def _g9(x: float) -> str:
     if x == 0.0:
         return "0"
     return format(float(x), ".9g")
-
-
-def _bool01(value: bool) -> str:
-    return "1" if value else "0"
 
 
 def _parse_float(token: str, line: int, what: str) -> float:
@@ -330,38 +317,6 @@ def serialize_trace(blocks: Iterable[SimulationTrace], out: TextIO) -> None:
     for block in blocks:
         out.writelines(_csv_blocks([getattr(block, name) for name, _ in TRACE_COLUMNS]))
         del block  # not held while the next is made
-
-
-# --------------------------------------------------------------------------
-# Device input logs and snapshot logs
-
-
-def parse_device_log(text: str) -> list[tuple[float, str, float | str]]:
-    records: list[tuple[float, str, float | str]] = []
-    for i, fields in _csv_rows(text, DEVICE_LOG_HEADER):
-        t = _parse_float(fields[0], i, "t")
-        kind = fields[1]
-        if kind == "sample":
-            value = _parse_float(fields[2], i, "arg")
-            if value < 0:
-                raise ParseError(f"sample arg must be a nonnegative count, got {value}", i)
-            records.append((t, kind, value))
-        elif kind == "button":
-            records.append((t, kind, _parse_choice(_BUTTONS, fields[2], i, "button")))
-        else:
-            raise ParseError(f"kind must be sample or button, got {kind!r}", i)
-    return records
-
-
-def serialize_device_log(records: Iterable[tuple[float, str, float | str]]) -> str:
-    rows = ((t, kind, _g9(arg) if kind == "sample" else arg) for t, kind, arg in records)
-    return _format_rows(DEVICE_LOG_HEADER, (_g9, str, str), rows)
-
-
-def serialize_snapshots(snapshots: Iterable[DeviceSnapshot]) -> str:
-    # A snapshot is a tuple in column order; flags are written as 0/1.
-    formats = (_g9, _bool01, _bool01, _bool01, _bool01, str, _g9)
-    return _format_rows(SNAPSHOTS_HEADER, formats, snapshots)
 
 
 # --------------------------------------------------------------------------

@@ -40,7 +40,7 @@ import numpy as np
 from .counts import CountsConfig, CountsPipeline, RawSample
 from .detector import DetectorConfig, DetectorEvent
 from .device import Button, Device, DeviceConfig
-from .filters import _STOCK_ORDER, FilterSpec
+from .filters import _STOCK_ORDER, FilterSpec, design_bandpass_cascade
 
 __all__ = [
     "Axis",
@@ -392,9 +392,8 @@ class ConfigFile:
         # A failed check records the config section it is about, for a parser to blame.
         section = "filter"
         try:
-            if self.filter_order < 2 or self.filter_order % 2 != 0:
-                raise ValueError(f"order must be an even integer >= 2, got {self.filter_order}")
-            self.filter_spec  # checks the cutoffs against the rate
+            # checks the cutoffs against the rate, then the order and the design
+            design_bandpass_cascade(self.filter_spec, self.filter_order)
             section = "detector"
             DetectorConfig(self.count_threshold)  # checks the threshold alone
             section = "device"

@@ -16,9 +16,7 @@ from stillwatch import (
     DeviceConfig,
     DeviceSnapshot,
     InactivityDetector,
-    replay_event_log,
 )
-from stillwatch import io as formats
 
 from _oracles import detector_event_oracle
 
@@ -329,25 +327,6 @@ class TestSelectDifferential:
             np.asarray(vms) > threshold, options[0], vibration, option_changes=changes
         )
         assert [(round(e.t / TICK), e.kind) for e in device.events] == expected
-
-
-class TestReplay:
-    def test_replay_reproduces_snapshot_log(self):
-        rng = np.random.default_rng(42)
-        records: list[tuple[float, str, float | str]] = []
-        k = 0
-        for _ in range(2000):
-            if rng.uniform() < 0.002:
-                records.append((k * TICK, "button", str(rng.choice([SELECT, RED_TOGGLE]))))
-            records.append((k * TICK, "sample", float(rng.uniform(0, 200))))
-            k += 1
-        first = formats.serialize_snapshots(replay_event_log(Device(), records))
-        second = formats.serialize_snapshots(replay_event_log(Device(), records))
-        assert first == second
-
-    def test_replay_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            replay_event_log(Device(), [(0.0, "bogus", 1.0)])
 
 
 class TestSnapshotRecord:

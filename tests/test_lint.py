@@ -17,7 +17,7 @@ import pytest
 import stillwatch
 
 # The most names `stillwatch.__all__` may hold, `__version__` included.
-MAX_PUBLIC_NAMES = 40
+MAX_PUBLIC_NAMES = 39
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "stillwatch"
 MODULES = {

@@ -18,13 +18,15 @@ rejects an off-grid timestamp and any axis beyond the filters' input limit.
 The sample grid is checked here alone (`process_block` checks it as arrays,
 seams included); `io.parse_samples` reads timestamps without checking them.
 The public stage functions (`rectify_threshold`, `contribution`,
-`AxisWindow.push`, `vm`) each check their own input and then call a private
-kernel that does not. After the filters' `Biquad.step`, the pipeline calls
-those kernels directly, because on input that passed the boundary none of
-the stage checks can fire: the input limit keeps every filter output finite,
-rectifying bounds each contribution to [0, saturation], `_quantum_shift`
-makes every contribution a whole number of quanta, and nonnegative quanta
-give nonnegative epoch sums.
+`AxisWindow.push`, `vm`) each check their own input. After the filters'
+`Biquad.step`, the pipeline runs the same arithmetic unchecked: per axis,
+`_quanta` does the rectify, the contribution and the scaling to quanta in one
+call, in the public functions' order, and `AxisWindow._push` updates the
+ring; `_vm` joins the three sums. The checks can be skipped because on input
+that passed the boundary none of them can fire: the input limit keeps every
+filter output finite, rectifying bounds each contribution to [0, saturation],
+`_quantum_shift` makes every contribution a whole number of quanta, and
+nonnegative quanta give nonnegative epoch sums.
 
 The streaming path (`process_sample` and every stage under it) uses only the
 standard library; `process_block` imports numpy on its first call.
@@ -136,15 +138,6 @@ class VmCount(NamedTuple):
     value: float
 
 
-def _rectify(y: float, deadband: float, saturation: float) -> float:
-    mag = abs(y)
-    if mag < deadband:
-        return 0.0
-    if mag > saturation:
-        return saturation
-    return mag
-
-
 def rectify_threshold(y: float, cfg: CountsConfig) -> float:
     """Rectify and threshold one filtered sample.
 
@@ -153,11 +146,12 @@ def rectify_threshold(y: float, cfg: CountsConfig) -> float:
     """
     if not math.isfinite(y):
         raise ValueError(f"filtered value must be finite, got {y!r}")
-    return _rectify(y, cfg.deadband_g, cfg.saturation_g)
-
-
-def _contribution(y_thresholded: float, scale: float, rate: float) -> float:
-    return y_thresholded / scale / rate
+    mag = abs(y)
+    if mag < cfg.deadband_g:
+        return 0.0
+    if mag > cfg.saturation_g:
+        return cfg.saturation_g
+    return mag
 
 
 def contribution(y_thresholded: float, cfg: CountsConfig) -> float:
@@ -166,7 +160,21 @@ def contribution(y_thresholded: float, cfg: CountsConfig) -> float:
         raise ValueError(
             f"thresholded value must lie in [0, {cfg.saturation_g}], got {y_thresholded!r}"
         )
-    return _contribution(y_thresholded, cfg.scale_g_per_sec_per_count, cfg.sample_rate_hz)
+    return y_thresholded / cfg.scale_g_per_sec_per_count / cfg.sample_rate_hz
+
+
+def _quanta(y: float, deadband: float, saturation: float, scale: float, rate: float,
+            up: float) -> float:
+    """`contribution(rectify_threshold(y)) * up`, unchecked, in one call and
+    with the same operations in the same order, so bit for bit the same.
+    Below the dead-band it returns a fresh zero, `mag * 0.0`, not the literal
+    0.0, which is one shared float: each ring slot keeps its own float."""
+    mag = abs(y)
+    if mag < deadband:
+        return mag * 0.0
+    if mag > saturation:
+        mag = saturation
+    return mag / scale / rate * up
 
 
 def _vm(sx: float, sy: float, sz: float) -> float:
@@ -175,8 +183,8 @@ def _vm(sx: float, sy: float, sz: float) -> float:
 
 def vm(sx: float, sy: float, sz: float) -> float:
     """Euclidean norm of the three per-axis epoch sums."""
-    if sx < 0 or sy < 0 or sz < 0:
-        raise ValueError(f"epoch sums must be nonnegative, got ({sx}, {sy}, {sz})")
+    if not all(isfinite(s) and s >= 0 for s in (sx, sy, sz)):
+        raise ValueError(f"epoch sums must be finite and nonnegative, got ({sx}, {sy}, {sz})")
     return _vm(sx, sy, sz)
 
 
@@ -337,9 +345,11 @@ class CountsPipeline:
         within the filters' overflow-free range; both are checked before any
         state changes, so a rejected sample leaves the pipeline untouched.
         Past those two checks and `RawSample`'s finiteness check, each filter
-        section runs through `Biquad.step`, and every later stage runs as the
-        unchecked kernel behind its public function, whose check could not
-        fire here (see the module docstring).
+        section runs through `Biquad.step`, and every later stage runs
+        unchecked, as `_quanta`, `AxisWindow._push` and `_vm`, since no stage
+        check could fire here (see the module docstring). The result is built
+        with `tuple.__new__`, which skips namedtuple's Python-level `__new__`;
+        it is the same `VmCount`.
         """
         cfg = self.config
         t, ax, ay, az = sample
@@ -359,18 +369,18 @@ class CountsPipeline:
         y = ax
         for biquad in fx:
             y = biquad.step(y)
-        sx = wx._push(_contribution(_rectify(y, deadband, saturation), scale, rate) * up)
+        sx = wx._push(_quanta(y, deadband, saturation, scale, rate, up))
         y = ay
         for biquad in fy:
             y = biquad.step(y)
-        sy = wy._push(_contribution(_rectify(y, deadband, saturation), scale, rate) * up)
+        sy = wy._push(_quanta(y, deadband, saturation, scale, rate, up))
         y = az
         for biquad in fz:
             y = biquad.step(y)
-        sz = wz._push(_contribution(_rectify(y, deadband, saturation), scale, rate) * up)
+        sz = wz._push(_quanta(y, deadband, saturation, scale, rate, up))
         self._last_t = t
         self._sums = (sx, sy, sz)
-        return VmCount(t, _vm(sx, sy, sz))
+        return tuple.__new__(VmCount, (t, _vm(sx, sy, sz)))
 
     def process_block(self, block) -> tuple[np.ndarray, np.ndarray]:
         """Advance every stage by an (n, 4) array of t, ax, ay, az rows; return

@@ -165,8 +165,12 @@ class Device:
 
     def tick(self, vm_count: float, t: float) -> DeviceSnapshot:
         """Advance one tick; returns the LED/motor snapshot after it."""
+        # `tuple.__new__` builds the same DeviceSnapshot as a class call, without
+        # namedtuple's Python-level `__new__` frame (README, Design notes).
         if not self.power:
-            return DeviceSnapshot(t, False, False, False, False, self.selected_option, 0.0)
+            return tuple.__new__(
+                DeviceSnapshot, (t, False, False, False, False, self.selected_option, 0.0)
+            )
         detector = self._detector
         k = detector.tick_index
         output = detector_tick(detector, vm_count, t)
@@ -176,10 +180,10 @@ class Device:
         red = self.red_led_enabled and output.motor_on and (
             (k - detector.vibration_start_tick) % period < period / 2.0
         )
-        return DeviceSnapshot(
+        return tuple.__new__(DeviceSnapshot, (
             t, output.motor_on, True, blue, red, self.selected_option,
             detector.timer_seconds,
-        )
+        ))
 
     def _tick_block(self, vm, t) -> tuple[np.ndarray, ...]:
         """`tick` over a block of counts, stamped with `t`; returns the timer,

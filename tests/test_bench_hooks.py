@@ -90,6 +90,11 @@ def test_traced_session_reaches_every_span(spans, scenario_file, tmp_path):
     # once per `Device.tick`; the detect and simulate commands scan blocks with
     # `InactivityDetector.process_block`, which calls no traced name.
     assert calls["detector.tick"] == calls["device.tick"] == STREAM_TICKS
+    # The stream's tick calls `Biquad.step` once per section of each axis's
+    # one-section band-pass; no block path does, so a tick that routed round
+    # it would read `filters.step_us` 0.
+    assert calls["counts.process_sample"] == STREAM_TICKS
+    assert calls["filters.step"] == 3 * STREAM_TICKS
     # One formatting call per command that writes a trace, so the per-row
     # figure stays per row.
     assert calls["io.serialize_trace"] == 2

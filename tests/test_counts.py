@@ -20,6 +20,7 @@ from stillwatch import (
     rectify_threshold,
     vm,
 )
+from stillwatch.counts import _quanta
 
 from conftest import make_samples, run_pipeline
 from _oracles import fsum_window_sums, offline_counts
@@ -28,6 +29,8 @@ from _oracles import fsum_window_sums, offline_counts
 # by the default constants: 2.13 / 0.01664 / 100 and sqrt(3) * 2.13 / 0.01664.
 SATURATED_CONTRIBUTION = 1.280048076923077
 VM_CEILING = 221.71083053616036
+# The largest input magnitude the stock band-pass filters without overflow.
+INPUT_LIMIT = CountsPipeline.from_spec()._input_limit
 
 
 class TestRectifyThreshold:
@@ -87,6 +90,50 @@ class TestVm:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             vm(-1.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("sums", [(math.nan, 0.0, 0.0), (math.inf, 1.0, 0.0),
+                                      (0.0, 0.0, -math.inf)])
+    def test_nonfinite_rejected(self, sums):
+        with pytest.raises(ValueError, match="must be finite and nonnegative"):
+            vm(*sums)
+
+
+QUANTA_CONFIGS = [CountsConfig(), CountsConfig(deadband_g=0.05, sample_rate_hz=50.0)]
+
+
+class TestQuantaKernel:
+    """`_quanta`, the streaming path's fused rectify-and-contribution step, is
+    the public chain scaled to quanta, bit for bit."""
+
+    @staticmethod
+    def assert_same_bits(y: float, cfg: CountsConfig):
+        up = AxisWindow(cfg)._up
+        got = _quanta(y, cfg.deadband_g, cfg.saturation_g, cfg.scale_g_per_sec_per_count,
+                      cfg.sample_rate_hz, up)
+        want = contribution(rectify_threshold(y, cfg), cfg) * up
+        assert got.hex() == want.hex(), y
+
+    @pytest.mark.parametrize("cfg", QUANTA_CONFIGS)
+    def test_edges(self, cfg):
+        for edge in (cfg.deadband_g, cfg.saturation_g):
+            for y in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)):
+                self.assert_same_bits(y, cfg)
+                self.assert_same_bits(-y, cfg)
+        self.assert_same_bits(0.0, cfg)
+        self.assert_same_bits(-0.0, cfg)
+
+    @settings(max_examples=300, deadline=None)
+    @given(cfg=st.sampled_from(QUANTA_CONFIGS),
+           y=st.floats(-INPUT_LIMIT, INPUT_LIMIT, allow_nan=False, allow_infinity=False))
+    def test_any_filtered_value(self, cfg, y):
+        self.assert_same_bits(y, cfg)
+
+    def test_each_zero_is_a_fresh_float(self, counts_cfg):
+        # A ring slot must hold a float of its own (see AxisWindow).
+        args = (counts_cfg.deadband_g, counts_cfg.saturation_g,
+                counts_cfg.scale_g_per_sec_per_count, counts_cfg.sample_rate_hz, 1.0)
+        a, b = _quanta(0.01, *args), _quanta(-0.02, *args)
+        assert a == b == 0.0 and a is not b
 
 
 def thresholded(ys, cfg: CountsConfig) -> list[float]:

@@ -1,4 +1,7 @@
+import gc
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,16 +11,21 @@ from hypothesis import strategies as st
 from stillwatch import (
     POWER,
     RED_TOGGLE,
+    RESET,
     SELECT,
     VIB_END,
     VIB_START,
+    CountsPipeline,
     DetectorConfig,
     Device,
     DeviceConfig,
     DeviceSnapshot,
     InactivityDetector,
+    VmCount,
+    vm,
 )
 
+from conftest import make_samples
 from _oracles import detector_event_oracle
 
 TICK = 0.01
@@ -343,3 +351,87 @@ class TestSnapshotRecord:
         )
         assert snap == Device().tick(0.0, 0.0)
         assert snap != Device().tick(0.0, 0.01)
+
+
+def rest_and_movement(n: int, seed: int = 7):
+    """n samples at 100 Hz: rest under gravity with noise far below the
+    dead-band, and from tick 300 on, every 1,500 ticks, 4 s of 1 Hz shaking
+    on two axes, strong enough to reset the inactivity timer."""
+    rng = np.random.default_rng(seed)
+    xyz = np.array([0.0, 0.0, 1.0]) + rng.normal(0.0, 0.003, (n, 3))
+    k = np.arange(400)
+    shake = 3.0 * np.sin(np.pi * k / 400) * np.sin(2 * np.pi * k / 100.0)
+    for start in range(300, n - 400, 1500):
+        xyz[start:start + 400, :2] += shake[:, None]
+    return make_samples(xyz)
+
+
+class TestStreamingTick:
+    """`process_sample` and `Device.tick` build their results with `tuple.__new__`,
+    which skips the class call's field-count check."""
+
+    def test_results_are_the_named_tuples_field_for_field(self):
+        # Resets from the shaking at 3 s, the red LED switched on at 1 s, a
+        # vibration from 16.2 s that the shaking at 18 s ends, a select press at
+        # 25 s (two blue flashes), power-off at 26 s.
+        samples = rest_and_movement(2700)
+        select_tick, power_tick, red_tick = 2500, 2600, 100
+        pipeline, device = CountsPipeline.from_spec(), Device()
+        period = round(device.config.blue_flash_period_seconds / TICK)
+        vib_start = None
+        vms, snaps = [], []
+        for k, sample in enumerate(samples):
+            if k == red_tick:
+                device.press_button(RED_TOGGLE, sample.t)
+            if k in (select_tick, power_tick):
+                device.press_button(SELECT if k == select_tick else POWER, sample.t)
+            count = pipeline.process_sample(sample)
+            assert type(count) is VmCount
+            assert count == VmCount(t=sample.t, value=vm(*pipeline.epoch_sums))
+            n_events = len(device.events)
+            snap = device.tick(count.value, sample.t)
+            if any(e.kind == VIB_START for e in device.events[n_events:]):
+                vib_start = k
+            on = device.power
+            motor = on and device._detector.vibrating
+            since = k - select_tick
+            blue = on and 0 <= since < 2 * period and since % period < period / 2
+            red = motor and (k - vib_start) % period < period / 2
+            assert type(snap) is DeviceSnapshot
+            assert snap == DeviceSnapshot(
+                t=sample.t, motor=motor, white=on, blue=blue, red=red,
+                option=device.selected_option,
+                timer_seconds=device._detector.timer_seconds if on else 0.0,
+            ), k
+            vms.append(count.value)
+            snaps.append(snap)
+        kinds = {e.kind for e in device.events}
+        assert {RESET, VIB_START, VIB_END} <= kinds
+        assert any(s.red for s in snaps) and any(s.blue for s in snaps)
+        assert any(not s.white for s in snaps) and any(s.option == 1 for s in snaps)
+        assert 0.0 in vms  # quiet ticks
+
+    def test_heap_does_not_grow_with_the_stream(self):
+        """After one epoch, 10,000 ticks grow the traced heap by the events they
+        append, plus a fixed slack for objects the interpreter keeps off its free
+        lists (measured 720 B over 1,104 B of events). Every ring slot holds a
+        float of its own, so a quiet tick swaps one float for another of the same
+        size; one shared 0.0 in the quiet slots measured 3,144 B over the events."""
+        samples = rest_and_movement(100 + 10_000)
+        pipeline, device = CountsPipeline.from_spec(), Device()
+        for sample in samples[:100]:
+            device.tick(pipeline.process_sample(sample).value, sample.t)
+        n_events, list_size = len(device.events), sys.getsizeof(device.events)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for sample in samples[100:]:
+                device.tick(pipeline.process_sample(sample).value, sample.t)
+            growth = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        appended = device.events[n_events:]
+        assert len(appended) >= 10
+        events = sys.getsizeof(device.events) - list_size + sum(map(sys.getsizeof, appended))
+        assert growth <= events + 1024, (growth, events)

@@ -35,12 +35,12 @@ print(f"{'t (s)':>6}  {'timer':>6}  {'motor':>5}  events")
 events_log = []
 for k in range(2000):
     t = k * cfg.tick_seconds
-    out = detector.tick(vm_at(t), t)
-    events_log.extend(out.events)
-    if out.events or (k % 100 == 0):
-        names = "+".join(e.kind for e in out.events)
+    events = detector.tick(vm_at(t), t)
+    events_log.extend(events)
+    if events or (k % 100 == 0):
+        names = "+".join(e.kind for e in events)
         print(f"{t:6.2f}  {detector.timer_seconds:6.2f}  "
-              f"{'ON' if out.motor_on else '.':>5}  {names}")
+              f"{'ON' if detector.vibrating else '.':>5}  {names}")
 
 ###############################################################################
 # The event trace condenses the same story.

@@ -28,7 +28,6 @@ from .detector import (
     VIB_START,
     DetectorConfig,
     DetectorEvent,
-    DetectorOutput,
     InactivityDetector,
     detector_tick,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "CountsPipeline",
     # detector
     "DetectorConfig",
-    "DetectorOutput",
     "DetectorEvent",
     "InactivityDetector",
     "detector_tick",

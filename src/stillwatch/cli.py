@@ -9,9 +9,12 @@ Subcommands:
                  acceleration/counts/timer series and events for plotting
 
 `counts` and `detect` read the sample file in chunks of lines: a chunk's byte
-lines are parsed, then dropped, and its array is counted as one block, so their
-memory does not grow with the file. A fault found parsing or counting names the
-file's first bad line, with no chunk run twice, and nothing is written.
+lines are parsed, then dropped, and its array is counted as one block, so the
+samples they hold do not grow with the file. `detect` holds every event of the
+file until the run ends: a 24 h idle sample file at 100 Hz (17,278 events)
+peaks at 2.95 MB under tracemalloc, against 0.37 MB for its first 200 s. A
+fault found parsing or counting names the file's first bad line, with no chunk
+run twice, and nothing is written.
 `simulate` writes each chunk of ticks, and the events emitted in it, as it is
 run and drops it before the next, so its memory does not grow with the
 scenario or its events. The rows of `counts` and `simulate` go to temporary

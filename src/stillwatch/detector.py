@@ -40,7 +40,6 @@ __all__ = [
     "EventKind",
     "DetectorEvent",
     "DetectorConfig",
-    "DetectorOutput",
     "detector_tick",
     "InactivityDetector",
 ]
@@ -79,27 +78,25 @@ class DetectorConfig:
             object.__setattr__(self, ticks_name, ticks)
 
 
-@dataclass(frozen=True, slots=True)
-class DetectorOutput:
-    motor_on: bool
-    events: tuple[DetectorEvent, ...]
-
-
-# What a tick without events returns, shared rather than built every tick.
-_QUIET = DetectorOutput(False, ())
-_BUZZING = DetectorOutput(True, ())
-
-
-def detector_tick(detector: InactivityDetector, vm_count: float, t: float) -> DetectorOutput:
-    """Advance `detector` by one tick, in place; returns the motor state and events.
+def detector_tick(
+    detector: InactivityDetector, vm_count: float, t: float
+) -> tuple[DetectorEvent, ...]:
+    """Advance `detector` by one tick, in place; returns the events it emitted,
+    () on a quiet tick. The motor state after it is `detector.vibrating`.
 
     `t` is the timestamp stamped onto any emitted events; the machine itself
     keeps time purely by counting ticks. Movement is strict: only
-    vm_count > count_threshold resets. Rejects negative or non-finite counts
-    without changing the detector.
+    vm_count > count_threshold resets. Any real count is read as a float, as
+    `process_block` reads it; a negative or non-finite one is rejected without
+    changing the detector.
     """
     if not (isinstance(vm_count, (int, float)) and math.isfinite(vm_count)) or vm_count < 0:
-        raise ValueError(f"vm count must be finite and nonnegative, got {vm_count!r}")
+        import numbers  # off the per-tick path: a valid int or float passes above
+
+        count = float(vm_count) if isinstance(vm_count, numbers.Real) else math.nan
+        if not 0 <= count < math.inf:  # a NaN fails both
+            raise ValueError(f"vm count must be finite and nonnegative, got {vm_count!r}")
+        vm_count = count
     cfg = detector.cfg
     k = detector.tick_index
     detector.tick_index = k + 1
@@ -110,19 +107,19 @@ def detector_tick(detector: InactivityDetector, vm_count: float, t: float) -> De
     if not detector.vibrating:
         if above:
             detector.last_reset_tick = k
-            return DetectorOutput(False, (DetectorEvent(t, RESET),)) if onset else _QUIET
+            return (DetectorEvent(t, RESET),) if onset else ()
         if k - detector.last_reset_tick >= cfg.inactivity_ticks:
             detector.vibrating = True
             detector.vibration_start_tick = k
-            return DetectorOutput(True, (DetectorEvent(t, VIB_START),))
-        return _QUIET
+            return (DetectorEvent(t, VIB_START),)
+        return ()
 
     # Vibrating: movement cancels, otherwise run out the vibration window.
     if above or k - detector.vibration_start_tick >= cfg.vibration_ticks:
         detector.vibrating = False
         detector.last_reset_tick = k
-        return DetectorOutput(False, (DetectorEvent(t, VIB_END), DetectorEvent(t, RESET)))
-    return _BUZZING
+        return (DetectorEvent(t, VIB_END), DetectorEvent(t, RESET))
+    return ()
 
 
 class InactivityDetector:

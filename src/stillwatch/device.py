@@ -173,15 +173,15 @@ class Device:
             )
         detector = self._detector
         k = detector.tick_index
-        output = detector_tick(detector, vm_count, t)
-        self.events.extend(output.events)
+        self.events += detector_tick(detector, vm_count, t)
+        motor = detector.vibrating
         period = self._flash_period
         blue = k < self._blue_end and (k - self._blue_start) % period < period / 2.0
-        red = self.red_led_enabled and output.motor_on and (
+        red = self.red_led_enabled and motor and (
             (k - detector.vibration_start_tick) % period < period / 2.0
         )
         return tuple.__new__(DeviceSnapshot, (
-            t, output.motor_on, True, blue, red, self.selected_option,
+            t, motor, True, blue, red, self.selected_option,
             detector.timer_seconds,
         ))
 

@@ -65,7 +65,7 @@ def test_criterion_2_gravity_rejection():
         out = detector.tick(count.value, t)
         # resets paired with a vibration end are the alert cycle, not a
         # movement detection
-        kinds = [e.kind for e in out.events]
+        kinds = [e.kind for e in out]
         if "reset" in kinds and "vib_end" not in kinds:
             movement_resets += 1
         vm_max = max(vm_max, count.value)
@@ -154,7 +154,7 @@ def test_criterion_6_detector_oracle_equivalence():
         detector = InactivityDetector(cfg)
         got = []
         for k, value in enumerate(vms):
-            for event in detector.tick(float(value), k * TICK).events:
+            for event in detector.tick(float(value), k * TICK):
                 got.append((k, event.kind))
         expected = detector_event_oracle(
             vms > cfg.count_threshold, cfg.inactivity_ticks, cfg.vibration_ticks
@@ -180,9 +180,8 @@ def test_criterion_7_fsm_timing_invariants():
         events = []
         motor = np.empty(n, dtype=bool)
         for k, value in enumerate(vms):
-            out = detector.tick(float(value), k * TICK)
-            events.extend(out.events)
-            motor[k] = out.motor_on
+            events.extend(detector.tick(float(value), k * TICK))
+            motor[k] = detector.vibrating
         above = vms > cfg.count_threshold
         starts = [round(e.t / TICK) for e in events if e.kind == "vib_start"]
         ends = [round(e.t / TICK) for e in events if e.kind == "vib_end"]

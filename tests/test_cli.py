@@ -174,7 +174,7 @@ class TestDetect:
         events_lib = []
         for s in samples:
             count = pipeline.process_sample(s)
-            events_lib.extend(detector.tick(count.value, s.t).events)
+            events_lib.extend(detector.tick(count.value, s.t))
         assert events_cli == events_lib
         assert [e.kind for e in events_cli][:2] == ["reset", "vib_start"]
 
@@ -422,7 +422,7 @@ def whole_file_outcome(command, data, config):
             except ValueError as exc:
                 raise ParseError(str(exc), line) from None
             rows.append((count.t, count.value, *pipeline.epoch_sums))
-            events.extend(detector.tick(count.value, count.t).events)
+            events.extend(detector.tick(count.value, count.t))
     except ParseError as exc:
         return 1, None, "", f"error: {exc}\n"
     text = counts_text(rows) if command == "counts" else serialize_events(events)

@@ -28,9 +28,8 @@ def drive(vms, cfg=None):
     events = []
     motor = []
     for k, value in enumerate(vms):
-        out = det.tick(float(value), k * TICK)
-        events.extend(out.events)
-        motor.append(out.motor_on)
+        events.extend(det.tick(float(value), k * TICK))
+        motor.append(det.vibrating)
     return events, np.array(motor), det
 
 
@@ -38,13 +37,13 @@ class TestTickRules:
     def test_movement_resets_timer_and_emits(self):
         det = InactivityDetector()
         for k in range(301):
-            assert det.tick(0.0, k * TICK).events == ()
+            assert det.tick(0.0, k * TICK) == ()
         assert det.timer_seconds == pytest.approx(3.00)
         out = det.tick(126.0, 3.01)
-        assert [e.kind for e in out.events] == [RESET]
+        assert [e.kind for e in out] == [RESET]
         assert det.timer_seconds == 0.0
         # already moving on the previous tick: no second onset event
-        assert det.tick(126.0, 3.02).events == ()
+        assert det.tick(126.0, 3.02) == ()
 
     def test_onset_event_only_once_per_burst(self):
         events, _, _ = drive([0.0] * 300 + [200.0] * 150 + [0.0] * 10)
@@ -119,9 +118,8 @@ class TestTickRules:
         events_b = []
         motor_b = []
         for k, value in enumerate(vms):
-            out = detector_tick(det, float(value), k * TICK)
-            events_b.extend(out.events)
-            motor_b.append(out.motor_on)
+            events_b.extend(detector_tick(det, float(value), k * TICK))
+            motor_b.append(det.vibrating)
         assert events_a == events_b
         assert np.array_equal(motor_a, np.array(motor_b))
 
@@ -276,12 +274,12 @@ class TestProcessBlock:
                     if change[1]:
                         det.last_reset_tick = det.tick_index
             for k in range(lo, hi):
-                want.extend(alone.tick(vms[k], k * TICK).events)
+                want.extend(alone.tick(vms[k], k * TICK))
             if as_block:
                 got += mixed.process_block(np.array(vms[lo:hi]), np.arange(lo, hi) * TICK)
             else:
                 for k in range(lo, hi):
-                    got.extend(mixed.tick(vms[k], k * TICK).events)
+                    got.extend(mixed.tick(vms[k], k * TICK))
             assert state(mixed) == state(alone), (lo, hi)
         assert got == want
 
@@ -293,6 +291,21 @@ class TestProcessBlock:
             (11.0, RESET), (14.0, VIB_START), (16.0, VIB_END), (16.0, RESET)]
         assert all(type(e.t) is float for e in events)
         assert state(det) == [False, 7, 6, 4, False]
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32, np.float64])
+    def test_numpy_counts_tick_as_they_do_in_a_block(self, dtype):
+        # 125.00001 stays above the threshold in either float type, and float32's
+        # 0.1 is not float64's: each path must read the same float64.
+        vms = np.array([0, 200, 0.1, 0, 0, 0, 0, 125.00001, 0, 0, 0, 0, 0]).astype(dtype)
+        cfg = fast_config(3, 2)
+        by_tick, by_block = InactivityDetector(cfg), InactivityDetector(cfg)
+        events = [e for k, value in enumerate(vms) for e in by_tick.tick(value, k * TICK)]
+        assert events == by_block.process_block(vms, np.arange(len(vms)) * TICK)
+        assert state(by_tick) == state(by_block)
+        before = state(by_tick)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            by_tick.tick(dtype(-1), 0.0)
+        assert state(by_tick) == before
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
     def test_bad_count_is_refused_as_tick_refuses_it(self, bad):

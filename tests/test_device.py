@@ -282,7 +282,7 @@ class TestAgainstBareDetector:
         bare = InactivityDetector(device.detector_config)
         events = []
         for k, value in enumerate(vms):
-            events.extend(bare.tick(float(value), k * TICK).events)
+            events.extend(bare.tick(float(value), k * TICK))
         assert device.events == events
 
 

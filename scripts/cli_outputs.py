@@ -11,7 +11,8 @@ configuration; `detect` also on a CRLF copy of the samples, which must give
 the same events), `simulate` (trace and events, both configurations, the
 stock trace once more from stdout, which must be the same bytes, the
 second scenario under the stock configuration, and the first under a
-configuration of few-tick durations, whose events fill many chunks),
+configuration of few-tick durations, whose events fill many chunks; `detect`
+also runs on the samples under that configuration, to a file and to stdout),
 `design-filter --order 2/4/6` and `figure3`, and round-trips the configuration
 and scenario files through their parsers and serializers. `errors.txt` holds
 the exit code and stderr of each command refused for a fixed bad input: sample
@@ -357,6 +358,8 @@ def write_tree(out_dir: Path) -> None:
     run(["simulate", scenario, "--config", dense,
          "-o", str(out_dir / "simulate_event_dense_trace.csv"),
          "--events", str(out_dir / "simulate_event_dense_events.csv")])
+    run(["detect", samples, "--config", dense, "-o", str(out_dir / "detect_event_dense.csv")])
+    write(out_dir / "detect_stdout.csv", run(["detect", samples, "--config", dense]))
     # The copy stays out of the tree: it is the samples input with CRLF line
     # ends, which reach `parse_samples` as written and take its numpy path.
     # So do the bad inputs, whose refusals errors.txt holds.

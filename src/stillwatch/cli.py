@@ -9,18 +9,16 @@ Subcommands:
                  acceleration/counts/timer series and events for plotting
 
 `counts` and `detect` read the sample file in chunks of lines: a chunk's byte
-lines are parsed, then dropped, and its array is counted as one block, so the
-samples they hold do not grow with the file. `detect` holds every event of the
-file until the run ends: a 24 h idle sample file at 100 Hz (17,278 events)
-peaks at 2.95 MB under tracemalloc, against 0.37 MB for its first 200 s. A
-fault found parsing or counting names the file's first bad line, with no chunk
-run twice, and nothing is written.
+lines are parsed, then dropped, its array is counted as one block, and its
+rows or events are written before the next chunk is read, so their memory
+does not grow with the file or its events. A fault found parsing or counting names the
+file's first bad line, with no chunk run twice, and nothing is written.
 `simulate` writes each chunk of ticks, and the events emitted in it, as it is
 run and drops it before the next, so its memory does not grow with the
-scenario or its events. The rows of `counts` and `simulate` go to temporary
-files, copied to the outputs (the trace, then the events) only once the whole
-input has run, so a refusal mid-way (a sample past the filters' input limit)
-leaves no output behind.
+scenario or its events. The rows of every command but `design-filter` go to
+temporary files, copied to the outputs (for `simulate` the trace, then the
+events) only once the whole input has run, so a refusal mid-way (a sample past
+the filters' input limit) leaves no output behind.
 
 All outputs are deterministic for identical inputs. Exit codes: 0 on success,
 2 for usage errors, 1 for I/O or validation failures (one-line diagnostic on
@@ -58,17 +56,7 @@ def _read_text(path: str) -> str:
 
 
 @contextlib.contextmanager
-def _open_output(path: str | Path | None) -> Iterator[TextIO]:
-    """The text stream an output goes to: the file at `path`, or stdout."""
-    if path is None:
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            yield fh
-
-
-@contextlib.contextmanager
-def _staged_output(path: str | None) -> Iterator[TextIO]:
+def _staged_output(path: str | Path | None) -> Iterator[TextIO]:
     """A temporary text stream for an output written as its input is run,
     copied to the file at `path` (as bytes, with no decoding), or to stdout,
     only once the whole run has succeeded: a refusal mid-way leaves no output."""
@@ -137,12 +125,11 @@ def _cmd_counts(args: argparse.Namespace) -> int:
 def _cmd_detect(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     detector = InactivityDetector(config.detector)
-    events = []
-    for t, vm, _ in _count_file(args.samples, config):
-        events += detector.process_block(vm, t)
-        del t, vm, _  # not held while the next chunk is read
-    with _open_output(args.output) as out:
-        out.write(formats.serialize_events(events))
+    with _staged_output(args.output) as out:
+        out.write(formats.EVENTS_HEADER + "\n")
+        for t, vm, _ in _count_file(args.samples, config):
+            out.write(formats._event_rows(detector.process_block(vm, t)))
+            del t, vm, _  # not held while the next chunk is read
     return 0
 
 
@@ -181,11 +168,11 @@ def _cmd_figure3(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     scenario = canonical_scenario()
     trace = run(scenario)
-    with _open_output(out_dir / "figure3_trace.csv") as out:
+    with _staged_output(out_dir / "figure3_trace.csv") as out:
         formats.serialize_trace([trace], out)
-    with _open_output(out_dir / "figure3_events.csv") as out:
+    with _staged_output(out_dir / "figure3_events.csv") as out:
         out.write(formats.serialize_events(trace.events))
-    with _open_output(out_dir / "figure3_scenario.txt") as out:
+    with _staged_output(out_dir / "figure3_scenario.txt") as out:
         out.write(formats.serialize_scenario(scenario))
     return 0
 

@@ -87,16 +87,19 @@ def detector_tick(
     `t` is the timestamp stamped onto any emitted events; the machine itself
     keeps time purely by counting ticks. Movement is strict: only
     vm_count > count_threshold resets. Any real count is read as a float, as
-    `process_block` reads it; a negative or non-finite one is rejected without
-    changing the detector.
+    `process_block` reads it; a negative or non-finite one, or an int past the
+    floats, is rejected without changing the detector.
     """
-    if not (isinstance(vm_count, (int, float)) and math.isfinite(vm_count)) or vm_count < 0:
-        import numbers  # off the per-tick path: a valid int or float passes above
+    try:
+        if not (isinstance(vm_count, (int, float)) and math.isfinite(vm_count)) or vm_count < 0:
+            import numbers  # off the per-tick path: a valid int or float passes above
 
-        count = float(vm_count) if isinstance(vm_count, numbers.Real) else math.nan
-        if not 0 <= count < math.inf:  # a NaN fails both
-            raise ValueError(f"vm count must be finite and nonnegative, got {vm_count!r}")
-        vm_count = count
+            count = float(vm_count) if isinstance(vm_count, numbers.Real) else math.nan
+            if not 0 <= count < math.inf:  # a NaN fails both
+                raise ValueError
+            vm_count = count
+    except (OverflowError, ValueError):  # OverflowError: an int too large for a float
+        raise ValueError(f"vm count must be finite and nonnegative, got {vm_count!r}") from None
     cfg = detector.cfg
     k = detector.tick_index
     detector.tick_index = k + 1
@@ -157,7 +160,12 @@ class InactivityDetector:
         """
         import numpy as np
 
-        vm = np.asarray(vm, dtype=float)
+        try:
+            vm = np.asarray(vm, dtype=float)
+        except OverflowError:  # an int too large for a float: `tick` names the first bad count
+            for count in vm:
+                InactivityDetector().tick(count, 0.0)
+            raise
         if len(t) != len(vm):
             raise ValueError(f"{len(t)} timestamps for {len(vm)} vm counts")
         cfg, n, k0, events = self.cfg, len(vm), self.tick_index, []

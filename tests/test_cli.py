@@ -258,8 +258,10 @@ class TestBlockCounting:
         assert main(["detect", str(sample_file), "-o", str(out)]) == 0
         assert [e.kind for e in parse_events(out.read_text())][:2] == ["reset", "vib_start"]
 
-    def test_late_refusal_prints_nothing_to_stdout(self, late_refusal_file, capsys):
-        assert main(["counts", str(late_refusal_file)]) == 1
+    @pytest.mark.parametrize("command", ["counts", "detect"])
+    def test_late_refusal_prints_nothing_to_stdout(self, command, late_refusal_file, capsys):
+        # The rows or events of the chunks above the refusal stay in the staged copy.
+        assert main([command, str(late_refusal_file)]) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: line 4000: sample at t=39.98 exceeds")
@@ -503,9 +505,11 @@ class TestBoundedMemory:
     ticks, so their peak does not grow with the input (tracemalloc: Python
     objects and numpy buffers)."""
 
-    # Measured on these files after a first run: 6k rows peak at 0.17 MB
-    # (detect) and 0.21 MB (counts), 60k rows 0.02 and 0.01 MB above that;
-    # `simulate` on the canonical scenario at 0.25 MB, at 30 s and at 300 s.
+    # Measured on these files after a first run: 6k rows peak at 0.18 MB
+    # (detect) and 0.21 MB (counts), 60k rows 0.01 MB above that; event-dense
+    # detect (2,571 and 25,713 events) at 0.18 and 0.20 MB, against 0.42 and
+    # 4.13 MB holding every event until the run ended; `simulate` on the
+    # canonical scenario at 0.25 MB, at 30 s and at 300 s.
     # The row writer holds a block's varying values in one float array and
     # one sub-block of rows as Python floats and text. Holding the block's
     # values as lists of floats and its text at once, counts peaked at 0.42 MB
@@ -540,9 +544,21 @@ class TestBoundedMemory:
         finally:
             tracemalloc.stop()
 
-    @pytest.mark.parametrize("command", ["counts", "detect"])
-    def test_peak_does_not_grow_with_the_file(self, command, files, tmp_path):
-        short, long = (self.peak_mb([command, str(files[n]), "-o", str(tmp_path / "out.csv")])
+    # Durations of a few ticks: the watch emits about 40 events a second, so
+    # the events are most of what a run could accumulate.
+    EVENT_DENSE_CONFIG = ("[device]\ninactivity_options = 0.05, 0.1, 0.2\n"
+                          "vibration_seconds = 0.02\n")
+
+    @pytest.mark.parametrize("command, config", [("counts", None), ("detect", None),
+                                                 ("detect", EVENT_DENSE_CONFIG)],
+                             ids=["counts", "detect", "detect-event_dense"])
+    def test_peak_does_not_grow_with_the_file(self, command, config, files, tmp_path):
+        config_argv = []
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config)
+            config_argv = ["--config", str(tmp_path / "run.cfg")]
+        short, long = (self.peak_mb([command, str(files[n]), *config_argv,
+                                     "-o", str(tmp_path / "out.csv")])
                        for n in (6_000, 60_000))
         assert long < short + self.MARGIN_MB, (short, long)
 
@@ -560,11 +576,6 @@ class TestBoundedMemory:
         self.peak_mb(argv)  # first-use caches are not the chunk's
         peak = self.peak_mb(argv)
         assert peak < self.COUNTS_PEAK_MB, peak
-
-    # Durations of a few ticks: the watch emits about 40 events a second, so
-    # the events are most of what a run could accumulate.
-    EVENT_DENSE_CONFIG = ("[device]\ninactivity_options = 0.05, 0.1, 0.2\n"
-                          "vibration_seconds = 0.02\n")
 
     def test_simulate_peak_does_not_grow_with_the_scenario(self, tmp_path):
         # Each chunk of ticks, and its events, is written before the next is

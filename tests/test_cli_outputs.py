@@ -29,7 +29,7 @@ TREE = {
     "inputs/event_dense.cfg", "simulate_event_dense_trace.csv",
     "simulate_event_dense_events.csv",
     "counts_default.csv", "counts_custom.csv", "detect_default.csv", "detect_custom.csv",
-    "detect_crlf.csv",
+    "detect_crlf.csv", "detect_event_dense.csv", "detect_stdout.csv",
     "simulate_default_trace.csv", "simulate_default_events.csv",
     "simulate_custom_trace.csv", "simulate_custom_events.csv", "simulate_stdout_trace.csv",
     "design_filter_order2.txt", "design_filter_order4.txt", "design_filter_order6.txt",
@@ -93,6 +93,8 @@ def test_script_writes_the_output_tree(tmp_path):
     assert (out / "errors.txt").read_bytes() == GOLDEN_ERRORS.read_bytes()
     assert (out / "detect_crlf.csv").read_bytes() == (out / "detect_default.csv").read_bytes()
     assert len((out / "simulate_event_dense_events.csv").read_text().splitlines()) > 3000
+    assert len((out / "detect_event_dense.csv").read_text().splitlines()) > 3000
+    assert (out / "detect_stdout.csv").read_bytes() == (out / "detect_event_dense.csv").read_bytes()
     stdout_trace = (out / "simulate_stdout_trace.csv").read_bytes()
     assert stdout_trace == (out / "simulate_default_trace.csv").read_bytes()
     version, expected = read_manifest(MANIFEST.read_text())

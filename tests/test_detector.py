@@ -105,8 +105,8 @@ class TestTickRules:
     def test_rejects_bad_vm(self):
         det = InactivityDetector()
         before = [getattr(det, name) for name in STATE_SLOTS]
-        for bad in (-1.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError):
+        for bad in (-1.0, float("nan"), float("inf"), 10**400, -10**400):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
                 det.tick(bad, 0.0)
         assert [getattr(det, name) for name in STATE_SLOTS] == before
 
@@ -316,6 +316,20 @@ class TestProcessBlock:
         vms[6], vms[8] = bad, -2.0  # the first bad count is named
         with pytest.raises(ValueError) as refused:
             det.process_block(vms, np.arange(5, 15) * TICK)
+        with pytest.raises(ValueError) as by_tick:
+            InactivityDetector().tick(bad, 0.0)
+        assert str(refused.value) == str(by_tick.value)
+        assert state(det) == before
+
+    @pytest.mark.parametrize("bad", [10**400, -10**400], ids=["10**400", "-10**400"])
+    def test_a_count_past_the_floats_is_refused_as_tick_refuses_it(self, bad):
+        # A list, as no float array can hold the count.
+        det = InactivityDetector(fast_config(3, 2))
+        before = state(det)
+        vms = [0.0] * 10
+        vms[6], vms[8] = bad, -2.0  # the first bad count is named
+        with pytest.raises(ValueError) as refused:
+            det.process_block(vms, np.arange(10) * TICK)
         with pytest.raises(ValueError) as by_tick:
             InactivityDetector().tick(bad, 0.0)
         assert str(refused.value) == str(by_tick.value)

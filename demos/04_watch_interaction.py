@@ -7,7 +7,7 @@ the red vibration indicator, power off) and three LEDs (white: power,
 blue: selection feedback, red: flashes with the motor when enabled).
 This script scripts a user session and prints what the LEDs do.
 """
-from stillwatch import POWER, RED_TOGGLE, SELECT, Device, DeviceConfig
+from stillwatch import Device, DeviceConfig
 
 config = DeviceConfig(
     inactivity_options=(3.0, 6.0, 12.0),  # short options for the demo
@@ -22,11 +22,11 @@ print(f"starting on option {device.selected_option} "
 
 # (tick, button) script: cycle the options twice, enable red, power off late
 script = {
-    100: SELECT,      # t=1 s   -> option 1, blue flashes twice
-    300: SELECT,      # t=3 s   -> option 2, blue flashes thrice
-    500: SELECT,      # t=5 s   -> wraps to option 0, one flash
-    900: RED_TOGGLE,  # t=9 s   -> red indicator armed
-    1800: POWER,      # t=18 s  -> everything dark
+    100: "select",    # t=1 s   -> option 1, blue flashes twice
+    300: "select",    # t=3 s   -> option 2, blue flashes thrice
+    500: "select",    # t=5 s   -> wraps to option 0, one flash
+    900: "red",       # t=9 s   -> red indicator armed
+    1800: "power",    # t=18 s  -> everything dark
 }
 
 last = None

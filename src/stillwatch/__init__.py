@@ -23,18 +23,11 @@ from .counts import (
     vm,
 )
 from .detector import (
-    RESET,
-    VIB_END,
-    VIB_START,
     DetectorConfig,
     DetectorEvent,
     InactivityDetector,
-    detector_tick,
 )
 from .device import (
-    POWER,
-    RED_TOGGLE,
-    SELECT,
     Device,
     DeviceConfig,
     DeviceSnapshot,
@@ -70,17 +63,10 @@ __all__ = [
     "DetectorConfig",
     "DetectorEvent",
     "InactivityDetector",
-    "detector_tick",
-    "RESET",
-    "VIB_START",
-    "VIB_END",
     # device
     "Device",
     "DeviceConfig",
     "DeviceSnapshot",
-    "SELECT",
-    "RED_TOGGLE",
-    "POWER",
     # sim, resolved on first access by `__getattr__`
     "Scenario",
     "Rest",

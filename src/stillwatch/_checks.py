@@ -3,7 +3,24 @@
 from __future__ import annotations
 
 import math
-from typing import Iterable
+import sys
+from typing import Callable, Iterable
+
+
+def finite(value: float) -> bool:
+    """`math.isfinite(value)`, but False, not OverflowError, for an int past the floats."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def shown(value: object, text: Callable[[object], str] = repr) -> str:
+    """`text(value)` for a refusal message, or the length of an int too long to print."""
+    try:
+        return text(value)
+    except ValueError:
+        return f"a number of over {sys.get_int_max_str_digits()} digits"
 
 
 def require_finite(obj: object, names: Iterable[str], positive: bool = False) -> None:
@@ -11,11 +28,9 @@ def require_finite(obj: object, names: Iterable[str], positive: bool = False) ->
     number (or, with `positive`, not a positive finite number)."""
     for name in names:
         value = getattr(obj, name)
-        if not (isinstance(value, (int, float)) and math.isfinite(value)) or (
-            positive and value <= 0
-        ):
+        if not (isinstance(value, (int, float)) and finite(value)) or (positive and value <= 0):
             kind = "positive finite" if positive else "finite"
-            raise ValueError(f"{name} must be a {kind} number, got {value!r}")
+            raise ValueError(f"{name} must be a {kind} number, got {shown(value)}")
 
 
 def whole_ticks(what: str, seconds: float, tick_seconds: float) -> int:

@@ -42,7 +42,7 @@ from dataclasses import dataclass, fields
 from math import isfinite
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from ._checks import require_finite
+from ._checks import finite, require_finite
 from .filters import (_STOCK_ORDER, Biquad, BiquadCoefficients, FilterSpec, _as_sections,
                       design_bandpass_cascade)
 
@@ -119,7 +119,7 @@ class CountsConfig:
                 f"deadband_g={self.deadband_g} must be below saturation_g={self.saturation_g}"
             )
         n = self.epoch_seconds * self.sample_rate_hz
-        if not math.isfinite(n) or abs(n - round(n)) > 1e-9 or round(n) < 1:
+        if not finite(n) or abs(n - round(n)) > 1e-9 or round(n) < 1:
             raise ValueError(
                 f"epoch_seconds * sample_rate_hz must be a positive integer, got {n}"
             )

@@ -1,11 +1,11 @@
 """Inactivity-alert state machine.
 
 One `InactivityDetector` per stream holds the whole machine: its config and
-its progress in ticks. `detector_tick(detector, vm_count, t)` advances it in
-place by one vector-magnitude count, its only input; `InactivityDetector.tick`
-is the same function. The module-level name stays because the benchmark's
-traced mode (perfbench/spans.py) times the watch's detector by wrapping
-`stillwatch.device.detector_tick`, the name `Device.tick` calls.
+its progress in ticks. `InactivityDetector.tick(vm_count, t)` advances it in
+place by one vector-magnitude count, its only input. The same function is kept
+as the module-level `detector_tick(detector, vm_count, t)`, the name
+`Device.tick` calls, because the benchmark's traced mode (perfbench/spans.py)
+times the watch's detector by wrapping `stillwatch.device.detector_tick`.
 `InactivityDetector.process_block(vm, t)` advances it by a block of counts with
 the events and end state of `tick` row by row, in a loop that runs once per
 event; a caller changes `cfg` or `last_reset_tick` between blocks.
@@ -30,13 +30,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Literal
 
-from ._checks import require_finite, whole_ticks
+from ._checks import require_finite, shown, whole_ticks
 from .filters import FilterSpec
 
 __all__ = [
-    "RESET",
-    "VIB_START",
-    "VIB_END",
     "EventKind",
     "DetectorEvent",
     "DetectorConfig",
@@ -45,9 +42,6 @@ __all__ = [
 ]
 
 EventKind = Literal["reset", "vib_start", "vib_end"]
-RESET: EventKind = "reset"
-VIB_START: EventKind = "vib_start"
-VIB_END: EventKind = "vib_end"
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,7 +93,8 @@ def detector_tick(
                 raise ValueError
             vm_count = count
     except (OverflowError, ValueError):  # OverflowError: an int too large for a float
-        raise ValueError(f"vm count must be finite and nonnegative, got {vm_count!r}") from None
+        message = f"vm count must be finite and nonnegative, got {shown(vm_count)}"
+        raise ValueError(message) from None
     cfg = detector.cfg
     k = detector.tick_index
     detector.tick_index = k + 1
@@ -110,18 +105,18 @@ def detector_tick(
     if not detector.vibrating:
         if above:
             detector.last_reset_tick = k
-            return (DetectorEvent(t, RESET),) if onset else ()
+            return (DetectorEvent(t, "reset"),) if onset else ()
         if k - detector.last_reset_tick >= cfg.inactivity_ticks:
             detector.vibrating = True
             detector.vibration_start_tick = k
-            return (DetectorEvent(t, VIB_START),)
+            return (DetectorEvent(t, "vib_start"),)
         return ()
 
     # Vibrating: movement cancels, otherwise run out the vibration window.
     if above or k - detector.vibration_start_tick >= cfg.vibration_ticks:
         detector.vibrating = False
         detector.last_reset_tick = k
-        return (DetectorEvent(t, VIB_END), DetectorEvent(t, RESET))
+        return (DetectorEvent(t, "vib_end"), DetectorEvent(t, "reset"))
     return ()
 
 
@@ -188,18 +183,19 @@ class InactivityDetector:
                 if p >= n:
                     break
                 vibrating, ref = False, p
-                events += (DetectorEvent(float(t[p]), VIB_END), DetectorEvent(float(t[p]), RESET))
+                events += (DetectorEvent(float(t[p]), "vib_end"),
+                           DetectorEvent(float(t[p]), "reset"))
             elif m < n and m <= max(ref + cfg.inactivity_ticks, p):
                 g = int(run_ends.searchsorted(a))
                 p = ref = int(mv[run_ends[g]] if g < len(run_ends) else mv[-1])
-                events += [DetectorEvent(float(t[i]), RESET)
+                events += [DetectorEvent(float(t[i]), "reset")
                            for i in np.flatnonzero(onset[m:p + 1]) + m]
             else:
                 p = max(ref + cfg.inactivity_ticks, p)
                 if p >= n:
                     break
                 vibrating, vs = True, p
-                events.append(DetectorEvent(float(t[p]), VIB_START))
+                events.append(DetectorEvent(float(t[p]), "vib_start"))
             p += 1
         self.tick_index, self.prev_above, self.vibrating = k0 + n, bool(above[-1]), vibrating
         self.last_reset_tick, self.vibration_start_tick = k0 + ref, k0 + vs

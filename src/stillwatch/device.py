@@ -17,18 +17,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Literal, NamedTuple
+from typing import TYPE_CHECKING, Literal, NamedTuple, get_args
 
-from ._checks import require_finite, whole_ticks
+from ._checks import finite, require_finite, shown, whole_ticks
 from .detector import DetectorConfig, DetectorEvent, InactivityDetector, detector_tick
 
 if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "SELECT",
-    "RED_TOGGLE",
-    "POWER",
     "Button",
     "DeviceConfig",
     "DeviceSnapshot",
@@ -36,11 +33,8 @@ __all__ = [
 ]
 
 Button = Literal["select", "red", "power"]
-SELECT: Button = "select"
-RED_TOGGLE: Button = "red"
-POWER: Button = "power"
 
-_BUTTONS = (SELECT, RED_TOGGLE, POWER)
+_BUTTONS = get_args(Button)
 _STOCK = DetectorConfig()  # the stock durations: option 0's and the vibration's
 
 
@@ -52,13 +46,18 @@ class DeviceConfig:
     blue_flash_period_seconds: float = 0.25
 
     def __post_init__(self) -> None:
-        options = tuple(float(x) for x in self.inactivity_options)
+        try:
+            options = tuple(float(x) for x in self.inactivity_options)
+        except OverflowError:  # an int past the floats: refused below, as given
+            options = tuple(self.inactivity_options)
         if len(options) != 3:
             raise ValueError(
                 f"exactly three inactivity options are required, got {len(options)}"
             )
-        if not all(math.isfinite(x) and x > 0 for x in options):
-            raise ValueError(f"inactivity options must be positive finite numbers, got {options}")
+        if not all(finite(x) and x > 0 for x in options):
+            raise ValueError(
+                f"inactivity options must be positive finite numbers, got {shown(options)}"
+            )
         object.__setattr__(self, "inactivity_options", options)
         require_finite(self, ("vibration_seconds", "blue_flash_period_seconds"), positive=True)
 
@@ -148,19 +147,19 @@ class Device:
         nothing (the watch counts ticks); it stays because `sim`, demo 04 and the
         benchmark pass it."""
         if button not in _BUTTONS:
-            raise ValueError(f"unknown button {button!r}")
+            raise ValueError(f"unknown button {shown(button)}")
         if not self.power:
             return
-        if button == SELECT:
+        if button == "select":
             self.selected_option = (self.selected_option + 1) % 3
             self._detector.cfg = self._detector_cfgs[self.selected_option]
             # Switching options must not fire an alert instantly.
             self._detector.last_reset_tick = self._detector.tick_index
             self._blue_start = self._detector.tick_index
             self._blue_end = self._blue_start + (self.selected_option + 1) * self._flash_period
-        elif button == RED_TOGGLE:
+        elif button == "red":
             self.red_led_enabled = not self.red_led_enabled
-        else:  # POWER
+        else:  # "power"
             self.power = False
 
     def tick(self, vm_count: float, t: float) -> DeviceSnapshot:

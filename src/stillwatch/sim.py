@@ -37,6 +37,7 @@ from typing import Any, Iterator, Literal, get_args
 
 import numpy as np
 
+from ._checks import finite, shown
 from .counts import CountsConfig, CountsPipeline, RawSample
 from .detector import DetectorConfig, DetectorEvent
 from .device import Button, Device, DeviceConfig
@@ -65,15 +66,16 @@ _AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
 
 
 def _check_span(start: float, end: float) -> None:
-    if not (math.isfinite(start) and math.isfinite(end) and 0.0 <= start < end):
-        raise ValueError(f"segment must satisfy 0 <= start < end, got [{start}, {end})")
+    if not (finite(start) and finite(end) and 0.0 <= start < end):
+        span = f"[{shown(start, str)}, {shown(end, str)})"
+        raise ValueError(f"segment must satisfy 0 <= start < end, got {span}")
 
 
 def _check_tone(amplitude_g: float, frequency_hz: float) -> None:
-    if not (math.isfinite(amplitude_g) and amplitude_g >= 0.0):
-        raise ValueError(f"amplitude_g must be nonnegative, got {amplitude_g!r}")
-    if not (math.isfinite(frequency_hz) and frequency_hz > 0.0):
-        raise ValueError(f"frequency_hz must be positive, got {frequency_hz!r}")
+    if not (finite(amplitude_g) and amplitude_g >= 0.0):
+        raise ValueError(f"amplitude_g must be nonnegative, got {shown(amplitude_g)}")
+    if not (finite(frequency_hz) and frequency_hz > 0.0):
+        raise ValueError(f"frequency_hz must be positive, got {shown(frequency_hz)}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -171,12 +173,13 @@ class Scenario:
     noise_sigma_g: float = 0.003
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.duration_seconds) and self.duration_seconds >= 0.0):
-            raise ValueError(f"duration_seconds must be >= 0, got {self.duration_seconds!r}")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
-        if not (math.isfinite(self.noise_sigma_g) and self.noise_sigma_g >= 0.0):
-            raise ValueError(f"noise_sigma_g must be >= 0, got {self.noise_sigma_g!r}")
+        if not (finite(self.duration_seconds) and self.duration_seconds >= 0.0):
+            raise ValueError(f"duration_seconds must be >= 0, got {shown(self.duration_seconds)}")
+        # Exactly an int: `serialize_scenario` would write a bool seed as `True`.
+        if not (type(self.seed) is int and 0 <= self.seed < 2**64):
+            raise ValueError(f"seed must be an unsigned 64-bit integer, got {shown(self.seed)}")
+        if not (finite(self.noise_sigma_g) and self.noise_sigma_g >= 0.0):
+            raise ValueError(f"noise_sigma_g must be >= 0, got {shown(self.noise_sigma_g)}")
         object.__setattr__(self, "segments", tuple(self.segments))
         object.__setattr__(self, "button_presses", tuple(self.button_presses))
         if self.duration_seconds == 0.0:
@@ -246,8 +249,8 @@ class ScenarioSampler:
     """Sample generator for one scenario at a fixed rate."""
 
     def __init__(self, scenario: Scenario, sample_rate_hz: float = CountsConfig().sample_rate_hz):
-        if not (math.isfinite(sample_rate_hz) and sample_rate_hz > 0):
-            raise ValueError(f"sample_rate_hz must be positive, got {sample_rate_hz!r}")
+        if not (finite(sample_rate_hz) and sample_rate_hz > 0):
+            raise ValueError(f"sample_rate_hz must be positive, got {shown(sample_rate_hz)}")
         nyquist = sample_rate_hz / 2.0
         for segment in scenario.segments:
             freq = getattr(segment, "frequency_hz", None) or getattr(
@@ -264,7 +267,7 @@ class ScenarioSampler:
                 f"is not below the Nyquist frequency {nyquist} Hz"
             )
         ticks = scenario.duration_seconds * sample_rate_hz
-        if not math.isfinite(ticks) or abs(ticks - round(ticks)) > 1e-9:
+        if not finite(ticks) or abs(ticks - round(ticks)) > 1e-9:
             raise ValueError(
                 f"duration {scenario.duration_seconds} s is not a whole number of "
                 f"samples at {sample_rate_hz} Hz"

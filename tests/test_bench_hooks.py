@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stillwatch import (SELECT, CountsPipeline, ScenarioSampler, canonical_scenario, cli,
+from stillwatch import (CountsPipeline, ScenarioSampler, canonical_scenario, cli,
                         device)
 from stillwatch.io import serialize_samples, serialize_scenario
 
@@ -78,7 +78,7 @@ def test_traced_session_reaches_every_span(spans, scenario_file, tmp_path):
         pipeline, watch = CountsPipeline.from_spec(), device.Device()
         for k in range(STREAM_TICKS):
             if k == STREAM_TICKS // 2:
-                watch.press_button(SELECT, k / 100.0)
+                watch.press_button("select", k / 100.0)
             watch.tick(pipeline.process_sample(sampler.sample(k)).value, k / 100.0)
     finally:
         tracer.uninstall()

@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import sys
 import tracemalloc
 from collections import deque
@@ -14,6 +15,9 @@ from stillwatch import (
     Biquad,
     CountsConfig,
     CountsPipeline,
+    DetectorConfig,
+    DeviceConfig,
+    FilterSpec,
     RawSample,
     VmCount,
     contribution,
@@ -280,6 +284,9 @@ class TestConfig:
     def test_epoch_must_be_integer_samples(self):
         with pytest.raises(ValueError, match="positive integer"):
             CountsConfig(epoch_seconds=0.505, sample_rate_hz=100.0)
+        # Each is finite, but their product is an int past the floats.
+        with pytest.raises(ValueError, match="positive integer"):
+            CountsConfig(epoch_seconds=10**300, sample_rate_hz=10**10)
 
     @pytest.mark.parametrize(
         "deadband,saturation,scale",
@@ -736,3 +743,36 @@ class TestRawSampleRecord:
         assert RawSample(0.01, 0.1, 0.2, 1.0) == RawSample(0.01, 0.1, 0.2, 1.0)
         assert RawSample(0.01, 0.1, 0.2, 1.0) != RawSample(0.01, 0.1, 0.2, 1.5)
         assert hash(RawSample(0.01, 0.1, 0.2, 1.0)) == hash(RawSample(0.01, 0.1, 0.2, 1.0))
+
+
+@pytest.mark.parametrize(
+    "value",
+    # Ints past the floats; the last is also past the 4,300 digits Python prints.
+    [pytest.param(10**400, id="10**400"), pytest.param(-10**400, id="-10**400"),
+     pytest.param(10**5000, id="10**5000")],
+)
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        pytest.param(lambda v: CountsConfig(deadband_g=v),
+                     "deadband_g must be a positive finite number, got ", id="CountsConfig"),
+        pytest.param(lambda v: DetectorConfig(count_threshold=v),
+                     "count_threshold must be a positive finite number, got ",
+                     id="DetectorConfig"),
+        pytest.param(lambda v: FilterSpec(sample_rate_hz=v),
+                     "sample_rate_hz must be a finite number, got ", id="FilterSpec"),
+        pytest.param(lambda v: DeviceConfig(vibration_seconds=v),
+                     "vibration_seconds must be a positive finite number, got ",
+                     id="DeviceConfig-vibration"),
+        pytest.param(lambda v: DeviceConfig(inactivity_options=(v, 1, 2)),
+                     "inactivity options must be positive finite numbers, got ",
+                     id="DeviceConfig-options"),
+        pytest.param(lambda v: RawSample(v, 0.0, 0.0, 1.0),
+                     "t must be a finite number, got ", id="RawSample"),
+    ],
+)
+def test_an_int_past_the_floats_gets_the_fields_refusal(build, message, value):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}") as refused:
+        build(value)
+    if value == 10**5000:
+        assert str(refused.value).endswith("got a number of over 4300 digits")

@@ -9,12 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stillwatch import (
-    POWER,
-    RED_TOGGLE,
-    RESET,
-    SELECT,
-    VIB_END,
-    VIB_START,
     CountsPipeline,
     DetectorConfig,
     Device,
@@ -52,19 +46,19 @@ class TestSelect:
         device = Device()
         assert device.selected_option == 0
         for expected in (1, 2, 0, 1):
-            device.press_button(SELECT, 0.0)
+            device.press_button("select", 0.0)
             assert device.selected_option == expected
 
     def test_selection_sets_detector_inactivity(self):
         device = Device(DeviceConfig(inactivity_options=(10.0, 30.0, 60.0)))
         assert device.detector_config.inactivity_seconds == 10.0
-        device.press_button(SELECT, 0.0)
+        device.press_button("select", 0.0)
         assert device.detector_config.inactivity_seconds == 30.0
 
     def test_selection_keeps_threshold_and_vibration(self):
         device = Device(detector_config=DetectorConfig(count_threshold=200.0))
         before = device.detector_config
-        device.press_button(SELECT, 0.0)
+        device.press_button("select", 0.0)
         after = device.detector_config
         assert after.count_threshold == before.count_threshold
         assert after.vibration_seconds == before.vibration_seconds
@@ -73,10 +67,10 @@ class TestSelect:
     def test_wrap_around_flashes_once(self):
         # from option 2, selecting wraps to option 0 and flashes once
         device = Device()
-        device.press_button(SELECT, 0.0)
-        device.press_button(SELECT, 0.0)
+        device.press_button("select", 0.0)
+        device.press_button("select", 0.0)
         assert device.selected_option == 2
-        snaps = run_quiet(device, 200, presses=[(0, SELECT)])
+        snaps = run_quiet(device, 200, presses=[(0, "select")])
         assert device.selected_option == 0
         assert rising_edges([s.blue for s in snaps]) == 1
 
@@ -85,8 +79,8 @@ class TestSelect:
         # setup presses at t=0 flash too; their schedule is long gone by t=2
         device = Device()
         for _ in range(presses - 1):
-            device.press_button(SELECT, 0.0)
-        snaps = run_quiet(device, 400, presses=[(200, SELECT)])
+            device.press_button("select", 0.0)
+        snaps = run_quiet(device, 400, presses=[(200, "select")])
         blue = [s.blue for s in snaps]
         assert not any(blue[100:200])  # dark between setup and the press
         assert rising_edges(blue[200:]) == expected_flashes
@@ -94,7 +88,7 @@ class TestSelect:
     def test_blue_flash_schedule(self):
         # press at t=2.0 with period 0.25: on during [2+0.25j, 2+0.25j+0.125)
         device = Device()
-        snaps = run_quiet(device, 400, presses=[(200, SELECT)])
+        snaps = run_quiet(device, 400, presses=[(200, "select")])
         n_flashes = 2
         period = device.config.blue_flash_period_seconds
         for snap in snaps:
@@ -105,8 +99,8 @@ class TestSelect:
     def test_select_resets_timer(self):
         # selecting option 1 (30 s) at t=3 delays the alert to t=33
         device = Device()
-        snaps = run_quiet(device, 3600, presses=[(300, SELECT)])
-        starts = [e.t for e in device.events if e.kind == VIB_START]
+        snaps = run_quiet(device, 3600, presses=[(300, "select")])
+        starts = [e.t for e in device.events if e.kind == "vib_start"]
         assert starts == [pytest.approx(33.0)]
         assert snaps[300].timer_seconds == 0.0
 
@@ -150,7 +144,7 @@ class TestRedLed:
         device = Device(DeviceConfig(red_led_enabled_default=True))
         snaps = run_quiet(device, 3200)
         period = device.config.blue_flash_period_seconds
-        starts = sorted(e.t for e in device.events if e.kind == VIB_START)
+        starts = sorted(e.t for e in device.events if e.kind == "vib_start")
         assert starts == [pytest.approx(10.0), pytest.approx(25.0)]
         for snap in snaps:
             if not snap.motor:
@@ -173,7 +167,7 @@ class TestRedLed:
 
     def test_toggle_mid_vibration(self):
         device = Device()
-        snaps = run_quiet(device, 1600, presses=[(1200, RED_TOGGLE)])
+        snaps = run_quiet(device, 1600, presses=[(1200, "red")])
         red = np.array([s.red for s in snaps])
         motor = np.array([s.motor for s in snaps])
         assert not red[:1200].any()
@@ -189,7 +183,7 @@ def blue_after_select(period, rate, start, presses=2, t=None):
     for k in range(start):
         device.tick(0.0, k / rate)
     for _ in range(presses):
-        device.press_button(SELECT, start / rate if t is None else t)
+        device.press_button("select", start / rate if t is None else t)
     span = round(3 * period * rate) + 5
     return [device.tick(0.0, k / rate).blue for k in range(start, start + span)]
 
@@ -247,21 +241,21 @@ class TestPower:
         device = Device()
         snaps = run_quiet(device, 100)
         assert all(s.white for s in snaps)
-        device.press_button(POWER, 1.0)
+        device.press_button("power", 1.0)
         snaps = run_quiet(device, 100, start_tick=100)
         assert not any(s.white for s in snaps)
 
     def test_power_off_is_absorbing(self):
         device = Device()
         run_quiet(device, 1100)  # vibrating now
-        device.press_button(POWER, 11.0)
+        device.press_button("power", 11.0)
         snap = device.tick(0.0, 11.0)
         assert snap == snap.__class__(11.0, False, False, False, False, 0, 0.0)
         events_before = list(device.events)
         # nothing reacts anymore, including further presses
-        device.press_button(POWER, 11.01)
-        device.press_button(SELECT, 11.02)
-        device.press_button(RED_TOGGLE, 11.03)
+        device.press_button("power", 11.01)
+        device.press_button("select", 11.02)
+        device.press_button("red", 11.03)
         snaps = run_quiet(device, 500, start_tick=1101)
         assert device.selected_option == 0
         assert all(not (s.motor or s.white or s.blue or s.red) for s in snaps)
@@ -327,7 +321,7 @@ class TestSelectDifferential:
         for k, vm in enumerate(vms):
             if pending and pending[0] == k:
                 pending.pop(0)
-                device.press_button(SELECT, k * TICK)
+                device.press_button("select", k * TICK)
                 option = (option + 1) % 3
                 changes.append((k, options[option]))
             device.tick(vm, k * TICK)
@@ -382,15 +376,15 @@ class TestStreamingTick:
         vms, snaps = [], []
         for k, sample in enumerate(samples):
             if k == red_tick:
-                device.press_button(RED_TOGGLE, sample.t)
+                device.press_button("red", sample.t)
             if k in (select_tick, power_tick):
-                device.press_button(SELECT if k == select_tick else POWER, sample.t)
+                device.press_button("select" if k == select_tick else "power", sample.t)
             count = pipeline.process_sample(sample)
             assert type(count) is VmCount
             assert count == VmCount(t=sample.t, value=vm(*pipeline.epoch_sums))
             n_events = len(device.events)
             snap = device.tick(count.value, sample.t)
-            if any(e.kind == VIB_START for e in device.events[n_events:]):
+            if any(e.kind == "vib_start" for e in device.events[n_events:]):
                 vib_start = k
             on = device.power
             motor = on and device._detector.vibrating
@@ -406,7 +400,7 @@ class TestStreamingTick:
             vms.append(count.value)
             snaps.append(snap)
         kinds = {e.kind for e in device.events}
-        assert {RESET, VIB_START, VIB_END} <= kinds
+        assert {"reset", "vib_start", "vib_end"} <= kinds
         assert any(s.red for s in snaps) and any(s.blue for s in snaps)
         assert any(not s.white for s in snaps) and any(s.option == 1 for s in snaps)
         assert 0.0 in vms  # quiet ticks

@@ -11,9 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stillwatch import (
-    RESET,
-    VIB_END,
-    VIB_START,
     AmbientVibration,
     BurstMovement,
     ButtonPress,
@@ -140,6 +137,38 @@ class TestScenarioValidation:
             (lambda: ScenarioSampler(rest_scenario(10.005), 100.0),
              "duration 10.005 s is not a whole number of samples at 100.0 Hz"),
             (lambda: canonical_scenario(5.0), "canonical scenario needs at least 10 s"),
+            # A bool is an int, but would serialize as `seed = True`.
+            (lambda: Scenario(0.0, seed=True),
+             "seed must be an unsigned 64-bit integer, got True"),
+            # Ints past the floats; 10**5000 is also past the 4,300 digits Python prints.
+            pytest.param(lambda: Scenario(10**400),
+                         f"duration_seconds must be >= 0, got {10**400}", id="duration-10**400"),
+            pytest.param(lambda: Scenario(0.0, noise_sigma_g=-10**400),
+                         f"noise_sigma_g must be >= 0, got {-10**400}", id="noise-(-10**400)"),
+            pytest.param(lambda: Scenario(0.0, seed=10**5000),
+                         "seed must be an unsigned 64-bit integer, got "
+                         "a number of over 4300 digits",
+                         id="seed-10**5000"),
+            pytest.param(lambda: ScenarioSampler(QUIET_MINUTE, 10**400),
+                         f"sample_rate_hz must be positive, got {10**400}", id="rate-10**400"),
+            pytest.param(lambda: ScenarioSampler(rest_scenario(10**300), 10**10),
+                         f"duration {10**300} s is not a whole number of samples "
+                         "at 10000000000 Hz",
+                         id="ticks-10**310"),
+            pytest.param(lambda: Rest(0.0, -10**400),
+                         f"segment must satisfy 0 <= start < end, got [0.0, {-10**400})",
+                         id="span-(-10**400)"),
+            pytest.param(lambda: Rest(10**5000, 1.0),
+                         "segment must satisfy 0 <= start < end, got "
+                         "[a number of over 4300 digits, 1.0)", id="span-10**5000"),
+            pytest.param(lambda: SineMovement(0.0, 1.0, "x", 10**400, 1.0),
+                         f"amplitude_g must be nonnegative, got {10**400}",
+                         id="amplitude-10**400"),
+            pytest.param(lambda: MotorFeedback(amplitude_g=-10**5000),
+                         "amplitude_g must be nonnegative, got a number of over 4300 digits",
+                         id="amplitude-(-10**5000)"),
+            pytest.param(lambda: SineMovement(0.0, 1.0, "x", 0.5, 10**400),
+                         f"frequency_hz must be positive, got {10**400}", id="frequency-10**400"),
         ],
     )
     def test_refusal_names_its_check(self, build, message):
@@ -260,7 +289,7 @@ class TestRun:
     def test_canonical_event_shape(self):
         trace = run(canonical_scenario())
         kinds = [e.kind for e in trace.events]
-        assert kinds == [RESET, VIB_START, VIB_END, RESET]
+        assert kinds == ["reset", "vib_start", "vib_end", "reset"]
         onset, start, end, final_reset = trace.events
         # detection fires inside the movement burst
         assert 5.0 <= onset.t <= 8.5
@@ -274,8 +303,8 @@ class TestRun:
     def test_trace_motor_matches_events(self):
         trace = run(canonical_scenario(duration_seconds=60.0))
         motor_expected = np.zeros(len(trace), dtype=bool)
-        starts = [e.t for e in trace.events if e.kind == VIB_START]
-        ends = [e.t for e in trace.events if e.kind == VIB_END]
+        starts = [e.t for e in trace.events if e.kind == "vib_start"]
+        ends = [e.t for e in trace.events if e.kind == "vib_end"]
         for s, e in zip(starts, ends + [math.inf]):
             motor_expected[(trace.t >= s) & (trace.t < e)] = True
         assert np.array_equal(trace.motor, motor_expected)
@@ -289,18 +318,19 @@ class TestRun:
         assert trace.option[0] == 0
         assert trace.option[250] == 1
         # option 1 waits 30 s from the press instead of 10 s
-        starts = [e.t for e in trace.events if e.kind == VIB_START]
+        starts = [e.t for e in trace.events if e.kind == "vib_start"]
         assert starts == [pytest.approx(32.0)]
 
     def test_quiet_scenario_vibrates_on_schedule(self):
         trace = run(QUIET_MINUTE)
-        starts = [round(e.t, 2) for e in trace.events if e.kind == VIB_START]
+        starts = [round(e.t, 2) for e in trace.events if e.kind == "vib_start"]
         assert starts == [10.0, 25.0, 40.0, 55.0]
 
     def test_sensor_noise_alone_never_detects(self):
         trace = run(rest_scenario(duration=60.0, sigma=0.003))
         assert trace.vm[1000:].max() < 1.0
-        assert [e.kind for e in trace.events] == [VIB_START, VIB_END, RESET] * 3 + [VIB_START]
+        kinds = [e.kind for e in trace.events]
+        assert kinds == ["vib_start", "vib_end", "reset"] * 3 + ["vib_start"]
 
 
 class TestMotorFeedbackRejection:

@@ -37,8 +37,6 @@ import tempfile
 from pathlib import Path
 from typing import Iterator, TextIO
 
-import numpy as np
-
 from . import io as formats
 from .counts import CountsPipeline
 from .detector import InactivityDetector
@@ -118,7 +116,7 @@ def _count_file(path: str, config: formats.ConfigFile):
 def _cmd_counts(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     with _staged_output(args.output) as out:
-        formats.serialize_counts(map(np.column_stack, _count_file(args.samples, config)), out)
+        formats.serialize_counts(_count_file(args.samples, config), out)
     return 0
 
 

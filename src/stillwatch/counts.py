@@ -42,7 +42,7 @@ from dataclasses import dataclass, fields
 from math import isfinite
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from ._checks import finite, require_finite
+from ._checks import finite, require_finite, shown
 from .filters import (_STOCK_ORDER, Biquad, BiquadCoefficients, FilterSpec, _as_sections,
                       design_bandpass_cascade)
 
@@ -144,8 +144,8 @@ def rectify_threshold(y: float, cfg: CountsConfig) -> float:
     Magnitudes strictly below the dead-band map to 0; magnitudes strictly
     above the saturation level clip to it; boundary values pass unchanged.
     """
-    if not math.isfinite(y):
-        raise ValueError(f"filtered value must be finite, got {y!r}")
+    if not finite(y):
+        raise ValueError(f"filtered value must be finite, got {shown(y)}")
     mag = abs(y)
     if mag < cfg.deadband_g:
         return 0.0
@@ -158,7 +158,7 @@ def contribution(y_thresholded: float, cfg: CountsConfig) -> float:
     """Count mass contributed by one thresholded sample: y / scale / sample_rate."""
     if not (0.0 <= y_thresholded <= cfg.saturation_g):
         raise ValueError(
-            f"thresholded value must lie in [0, {cfg.saturation_g}], got {y_thresholded!r}"
+            f"thresholded value must lie in [0, {cfg.saturation_g}], got {shown(y_thresholded)}"
         )
     return y_thresholded / cfg.scale_g_per_sec_per_count / cfg.sample_rate_hz
 
@@ -183,8 +183,9 @@ def _vm(sx: float, sy: float, sz: float) -> float:
 
 def vm(sx: float, sy: float, sz: float) -> float:
     """Euclidean norm of the three per-axis epoch sums."""
-    if not all(isfinite(s) and s >= 0 for s in (sx, sy, sz)):
-        raise ValueError(f"epoch sums must be finite and nonnegative, got ({sx}, {sy}, {sz})")
+    if not all(finite(s) and s >= 0 for s in (sx, sy, sz)):
+        sums = ", ".join(shown(s, str) for s in (sx, sy, sz))
+        raise ValueError(f"epoch sums must be finite and nonnegative, got ({sums})")
     return _vm(sx, sy, sz)
 
 
@@ -238,10 +239,14 @@ class AxisWindow:
     def push(self, c: float) -> float:
         """Insert one contribution, evict the oldest, return the new epoch sum.
         Anything but a whole number of quanta up to saturation is rejected."""
-        x = c * self._up
+        try:
+            x = c * self._up
+        except OverflowError:  # an int past the floats
+            x = math.inf
         if not (0.0 <= x <= self._qmax and x.is_integer()):
             raise ValueError(
-                f"contribution must be a multiple of {self._down!r} up to saturation, got {c!r}"
+                f"contribution must be a multiple of {self._down!r} up to saturation, "
+                f"got {shown(c)}"
             )
         return self._push(x)
 

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from ._checks import require_finite
+from ._checks import require_finite, shown
 
 __all__ = [
     "FilterSpec",
@@ -118,9 +118,18 @@ def design_bandpass_cascade(
     w2 = 2.0 * fs * math.tan(math.pi * spec.high_cutoff_hz / fs)
     bw = w2 - w1
     w0 = math.sqrt(w1 * w2)
+    fs2 = 2.0 * fs
+
+    # The overall gain's numerator, taken before the n poles are built: past
+    # the doubles, or at 0, it leaves no positive finite gain for any poles.
+    try:
+        scale = bw**n * fs2**n
+    except OverflowError:  # a power, or n itself, past the doubles
+        scale = math.inf
+    if not 0.0 < scale < math.inf:
+        raise ValueError("degenerate design: non-positive overall gain")
 
     # One walk over the prototype poles: each gives two band-pass poles.
-    fs2 = 2.0 * fs
     denom = complex(1.0, 0.0)
     feedback: list[tuple[float, float]] = []
     for p in _prototype_poles(n):
@@ -140,7 +149,7 @@ def design_bandpass_cascade(
 
     # Overall digital gain for n zeros at s=0 mapped through z = (2fs+s)/(2fs-s),
     # with n more zeros appended at z=-1 to balance the pole count.
-    k_digital = ((bw**n) * (fs2**n) / denom).real
+    k_digital = (scale / denom).real
     if not (k_digital > 0.0 and math.isfinite(k_digital)):
         raise ValueError("degenerate design: non-positive overall gain")
     g = k_digital ** (1.0 / n)
@@ -165,9 +174,13 @@ class Biquad:
         return (self._s1, self._s2)
 
     def step(self, x: float) -> float:
-        """Advance by one sample; non-finite input is rejected without being consumed."""
-        if not math.isfinite(x):
-            raise ValueError(f"filter input must be finite, got {x!r}")
+        """Advance by one sample; non-finite input, or an int past the floats,
+        is rejected without being consumed."""
+        try:
+            if not math.isfinite(x):
+                raise OverflowError
+        except OverflowError:  # raised by isfinite for an int past the floats
+            raise ValueError(f"filter input must be finite, got {shown(x)}") from None
         c = self.coeffs
         y = c.b0 * x + self._s1
         self._s1 = c.b1 * x - c.a1 * y + self._s2

@@ -17,10 +17,11 @@ three-float tuple as comma-separated floats, and a Literal string as one of
 its choices. A CSV table has no codecs, only one formatter per column; the
 trace's columns are the array fields of SimulationTrace.
 
-Parsers are strict: the first problem raises ParseError carrying the line
-number, and nothing is returned. Serializers emit canonical text, so
-serialize(parse(text)) reproduces canonical input byte for byte for every
-format that is read back; counts and trace are only written.
+Samples are only read; counts, events and traces are only written; scenarios
+and configs are both. Parsers are strict: the first problem raises ParseError
+carrying the line number, and nothing is returned. Serializers emit canonical
+text, so serialize(parse(text)) reproduces a canonical scenario or config
+byte for byte.
 
 Raw samples, the one format read at length, are parsed in two stages into
 one float64 array of t, ax, ay, az rows. numpy reads the body, and the
@@ -29,14 +30,15 @@ parsed again line by line, and that parser alone decides: it accepts what
 float() reads, which includes every token numpy does, or names the first
 bad line. Timestamps are not checked: the sample grid is the counting
 pipeline's. The counts and the wide trace are written to a text stream from
-blocks given one after another, a sub-block of %-formatted rows at a time,
-so a writer that is handed each chunk as it is made holds one chunk's arrays
-and a few rows of text, never the whole table or its text.
+blocks given one after another (for counts, the (t, vm, sums) arrays of each
+counted block), a sub-block of %-formatted rows at a time, so a writer that
+is handed each chunk as it is made holds one chunk's arrays and a few rows of
+text, never the whole table or its text.
 
 Formats:
-  samples        t,ax,ay,az                     raw accelerometer stream
+  samples        t,ax,ay,az                     raw accelerometer stream (read only)
   counts         t,vm,sx,sy,sz                  VM counts and epoch sums (written only)
-  events         t,event                        detector event trace
+  events         t,event                        detector event trace (written only)
   trace          t,ax,..,vm,..,timer,motor,...  wide simulation trace (written only)
   scenario       [scenario] [segment]... [motor_feedback] [button]...
   config         [filter] [counts] [detector] [device]
@@ -48,11 +50,11 @@ import functools
 import math
 import typing
 from dataclasses import MISSING, fields
-from typing import Callable, Iterable, Iterator, Literal, Sequence, TextIO
+from typing import Callable, Iterable, Literal, Sequence, TextIO
 
 import numpy as np
 
-from .detector import DetectorEvent, EventKind
+from .detector import DetectorEvent
 from . import sim
 from .sim import (
     TRACE_COLUMNS,
@@ -72,9 +74,7 @@ __all__ = [
     "ParseError",
     "ConfigFile",
     "parse_samples",
-    "serialize_samples",
     "serialize_counts",
-    "parse_events",
     "serialize_events",
     "serialize_trace",
     "parse_scenario",
@@ -87,8 +87,6 @@ SAMPLES_HEADER = "t,ax,ay,az"
 COUNTS_HEADER = "t,vm,sx,sy,sz"
 EVENTS_HEADER = "t,event"
 TRACE_HEADER = ",".join(name for name, _ in TRACE_COLUMNS)
-
-_EVENT_KINDS = typing.get_args(EventKind)
 
 
 class ParseError(ValueError):
@@ -143,43 +141,6 @@ def _parse_choice(choices: tuple[str, ...], token: str, line: int, what: str) ->
     if token not in choices:
         raise ParseError(f"{what} must be one of {', '.join(choices)}, got {token!r}", line)
     return token
-
-
-def _csv_rows(text: str | Sequence[bytes], header: str) -> Iterator[tuple[int, list[str]]]:
-    """Yield the (line number, fields) rows of CSV text, or of its byte lines as
-    a binary file yields them, one at a time, after checking the header. A line
-    is decoded and checked as it is reached, so a caller's check of a row's
-    values runs before any line below it is read: the first bad line is named,
-    a byte line that is not UTF-8 included."""
-    lines = text.split("\n") if isinstance(text, str) else text
-    if lines and not lines[-1]:  # after the text's last LF, or an empty file's b""
-        lines = lines[:-1]
-    if not lines:
-        raise ParseError(f"empty input, expected header {header!r}", 1)
-    n_fields = header.count(",") + 1
-    for i, raw in enumerate(lines, start=1):
-        if not isinstance(raw, str):
-            try:
-                raw = raw.decode("utf-8").removesuffix("\n")
-            except UnicodeDecodeError as exc:
-                raise ParseError(f"not valid UTF-8: {exc.reason}", i) from None
-        line = raw.rstrip("\r")
-        if i == 1:
-            if line != header:
-                raise ParseError(f"expected header {header!r}, got {raw!r}", 1)
-            continue
-        if line == "":
-            raise ParseError("blank line in data", i)
-        fields = line.split(",")
-        if len(fields) != n_fields:
-            raise ParseError(f"expected {n_fields} fields, got {len(fields)}", i)
-        yield i, [f.strip() for f in fields]
-
-
-def _format_rows(header: str, formats: Sequence[Callable], rows: Iterable[Sequence]) -> str:
-    """The CSV text of the header and rows, each value written by its column's format."""
-    texts = [map(fmt, values) for fmt, values in zip(formats, zip(*rows))]
-    return "\n".join([header, *map(",".join, zip(*texts))]) + "\n"
 
 
 # Rows formatted by one %-operation at a time, so the text and the Python
@@ -259,41 +220,50 @@ def _bare(line: str | bytes) -> str:
 
 
 def _parse_sample_lines(text: str | Sequence[bytes]) -> np.ndarray:
-    """`parse_samples` one line at a time; the first problem raises on its line."""
-    rows: list[tuple[float, float, float, float]] = []
-    for i, fields in _csv_rows(text, SAMPLES_HEADER):
-        t = _parse_float(fields[0], i, "t")
-        ax = _parse_float(fields[1], i, "ax")
-        ay = _parse_float(fields[2], i, "ay")
-        az = _parse_float(fields[3], i, "az")
-        rows.append((t, ax, ay, az))
+    """`parse_samples` one line at a time. A line is decoded and checked as it
+    is reached, each value before any line below it is read, so the first bad
+    line raises, whatever its kind, a byte line that is not UTF-8 included."""
+    lines = text.split("\n") if isinstance(text, str) else text
+    if lines and not lines[-1]:  # after the text's last LF, or an empty file's b""
+        lines = lines[:-1]
+    if not lines:
+        raise ParseError(f"empty input, expected header {SAMPLES_HEADER!r}", 1)
+    rows: list[list[float]] = []
+    for i, raw in enumerate(lines, start=1):
+        if not isinstance(raw, str):
+            try:
+                raw = raw.decode("utf-8").removesuffix("\n")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"not valid UTF-8: {exc.reason}", i) from None
+        line = raw.rstrip("\r")
+        if i == 1:
+            if line != SAMPLES_HEADER:
+                raise ParseError(f"expected header {SAMPLES_HEADER!r}, got {raw!r}", 1)
+            continue
+        if line == "":
+            raise ParseError("blank line in data", i)
+        fields = line.split(",")
+        if len(fields) != 4:
+            raise ParseError(f"expected 4 fields, got {len(fields)}", i)
+        rows.append([_parse_float(token.strip(), i, name)
+                     for token, name in zip(fields, ("t", "ax", "ay", "az"))])
     return np.array(rows, dtype=float).reshape(-1, 4)
 
 
-def serialize_samples(samples: Iterable[Sequence[float]]) -> str:
-    """Write rows of t, ax, ay, az: `RawSample`s or the rows of a parsed array."""
-    return _format_rows(SAMPLES_HEADER, (_float_str,) * 4, samples)
-
-
 # --------------------------------------------------------------------------
-# Counts output and detector event traces
+# Counts and detector event outputs
 
 
-def serialize_counts(blocks: Iterable[np.ndarray], out: TextIO) -> None:
-    """Write the counts CSV of `blocks`, (n, 5) arrays of t, vm, sx, sy, sz
-    rows one after another, to the text stream `out`, one block of rows at a
-    time. Each value reads as `_g9` writes it."""
+def serialize_counts(blocks: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]],
+                     out: TextIO) -> None:
+    """Write the counts CSV of `blocks`, (t, vm, sums) blocks of consecutive
+    rows, n timestamps and VM counts and the (n, 3) epoch sums, as
+    `CountsPipeline.process_block` counts them, to the text stream `out`, one
+    block of rows at a time. Each value reads as `_g9` writes it."""
     out.write(COUNTS_HEADER + "\n")
-    for block in blocks:
-        out.writelines(_csv_blocks(block.T))
-        del block  # not held while the next is made
-
-
-def parse_events(text: str) -> list[DetectorEvent]:
-    return [
-        DetectorEvent(_parse_float(t, i, "t"), _parse_choice(_EVENT_KINDS, kind, i, "event"))
-        for i, (t, kind) in _csv_rows(text, EVENTS_HEADER)
-    ]
+    for t, vm, sums in blocks:
+        out.writelines(_csv_blocks([t, vm, *sums.T]))
+        del t, vm, sums  # not held while the next is made
 
 
 def serialize_events(events: Iterable[DetectorEvent]) -> str:

@@ -7,6 +7,9 @@ detector event instants by arithmetic scanning of the movement ticks instead
 of a per-tick state machine. A scenario's samples are synthesized one tick at
 a time with `math` (`reference_sample`), and the closed loop's reference is
 the watch run one tick at a time through the streaming API (`reference_run`).
+CSV rows are written one value at a time (`format_rows`), which is also how
+the tests write sample files (`samples_text`); event files are read back with
+`read_events`.
 """
 
 from __future__ import annotations
@@ -19,8 +22,9 @@ import numpy as np
 from scipy import signal
 
 from stillwatch import (AmbientVibration, BiquadCoefficients, BurstMovement, CountsConfig,
-                        CountsPipeline, Device, RawSample, Rest, ScenarioSampler, SimulationTrace,
-                        SineMovement)
+                        CountsPipeline, DetectorEvent, Device, RawSample, Rest, ScenarioSampler,
+                        SimulationTrace, SineMovement)
+from stillwatch.io import SAMPLES_HEADER, _float_str
 from stillwatch.sim import TRACE_COLUMNS, ConfigFile
 
 
@@ -236,3 +240,23 @@ def reference_run(scenario, config: ConfigFile | None = None) -> SimulationTrace
         )
     columns = {name: record[name] for name, _ in TRACE_COLUMNS}
     return SimulationTrace(**columns, events=tuple(device.events))
+
+
+def format_rows(header: str, formats, rows) -> str:
+    """The CSV text of the header and rows, each value written by its column's format."""
+    texts = [map(fmt, values) for fmt, values in zip(formats, zip(*rows))]
+    return "\n".join([header, *map(",".join, zip(*texts))]) + "\n"
+
+
+def samples_text(samples) -> str:
+    """The raw sample CSV of rows of t, ax, ay, az (`RawSample`s or the rows
+    of a parsed array), each value the shortest decimal that reparses to the
+    same double."""
+    return format_rows(SAMPLES_HEADER, [_float_str] * 4, samples)
+
+
+def read_events(text: str) -> list[DetectorEvent]:
+    """The events of an event CSV, read back as the floats and kinds it names."""
+    header, *rows = text.splitlines()
+    assert header == "t,event", header
+    return [DetectorEvent(float(t), kind) for t, kind in (row.split(",") for row in rows)]

@@ -60,8 +60,9 @@ def trace_text(trace) -> str:
 def counts_text(rows) -> str:
     """The counts CSV that `serialize_counts` writes for rows of t, vm, sx,
     sy, sz, as a string."""
+    rows = np.array(rows, dtype=float).reshape(-1, 5)
     out = io.StringIO()
-    serialize_counts([np.array(rows, dtype=float).reshape(-1, 5)], out)
+    serialize_counts([(rows[:, 0], rows[:, 1], rows[:, 2:])], out)
     return out.getvalue()
 
 

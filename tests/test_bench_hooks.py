@@ -18,9 +18,10 @@ import pytest
 
 from stillwatch import (CountsPipeline, ScenarioSampler, canonical_scenario, cli,
                         device)
-from stillwatch.io import serialize_samples, serialize_scenario
+from stillwatch.io import serialize_scenario
 
 from conftest import make_samples
+from _oracles import samples_text
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -61,7 +62,7 @@ def test_traced_session_reaches_every_span(spans, scenario_file, tmp_path):
     xyz[:, 0] = 2.0 * np.sin(2 * np.pi * t) * (t < 1.0)
     xyz[:, 2] += 1.0
     samples = tmp_path / "samples.csv"
-    samples.write_text(serialize_samples(make_samples(xyz)), newline="\n")
+    samples.write_text(samples_text(make_samples(xyz)), newline="\n")
 
     tracer = spans.Tracer()
     tracer.install()

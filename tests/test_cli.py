@@ -5,6 +5,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -36,14 +37,13 @@ from stillwatch.io import (
     TRACE_HEADER,
     ParseError,
     parse_config,
-    parse_events,
     parse_samples,
     serialize_events,
-    serialize_samples,
     serialize_scenario,
 )
 
 from conftest import counts_text, make_samples
+from _oracles import read_events, samples_text
 
 GOLDEN_EVENTS = Path(__file__).parent / "data" / "figure3_events.csv"
 
@@ -67,7 +67,7 @@ def sample_file(tmp_path):
     xyz += movement[:, None]
     xyz[:, 2] += 1.0 + rng.normal(0, 0.003, n)
     path = tmp_path / "samples.csv"
-    path.write_text(serialize_samples(make_samples(xyz)), newline="\n")
+    path.write_text(samples_text(make_samples(xyz)), newline="\n")
     return path
 
 
@@ -99,6 +99,12 @@ class TestDesignFilter:
     def test_bad_spec_exits_1(self, capsys):
         assert main(["design-filter", "--low", "2.0", "--high", "1.0"]) == 1
         assert "error:" in capsys.readouterr().err
+        # Orders whose gain is past the doubles are refused before any pole is built.
+        for order in (400, 2_000_000, 10**400):
+            start = time.perf_counter()
+            assert main(["design-filter", "--order", str(order)]) == 1
+            assert time.perf_counter() - start < 1.0
+            assert capsys.readouterr().err == "error: degenerate design: non-positive overall gain\n"
 
     def test_unknown_flag_exits_2(self, capsys):
         assert main(["design-filter", "--ripple", "3"]) == 2
@@ -166,7 +172,7 @@ class TestDetect:
     def test_events_match_library_composition(self, sample_file, tmp_path):
         out = tmp_path / "events.csv"
         assert main(["detect", str(sample_file), "-o", str(out)]) == 0
-        events_cli = parse_events(out.read_text())
+        events_cli = read_events(out.read_text())
 
         samples = read_samples(sample_file)
         pipeline = CountsPipeline.from_spec()
@@ -183,7 +189,7 @@ class TestDetect:
         config.write_text("[device]\ninactivity_options = 3, 30, 60\n")
         out = tmp_path / "events.csv"
         assert main(["detect", str(sample_file), "--config", str(config), "-o", str(out)]) == 0
-        events = parse_events(out.read_text())
+        events = read_events(out.read_text())
         starts = [e.t for e in events if e.kind == "vib_start"]
         # the timer reference is the last super-threshold tick, not the
         # onset event; recover it from the counts
@@ -229,7 +235,7 @@ class TestBlockCounting:
         xyz = np.random.default_rng(62).normal(0.0, 1.0, (5000, 3))
         xyz[3998, 1] = 1e306
         path = tmp_path / "late.csv"
-        path.write_text(serialize_samples(make_samples(xyz)), newline="\n")
+        path.write_text(samples_text(make_samples(xyz)), newline="\n")
         return path
 
     @pytest.mark.parametrize("command", ["counts", "detect"])
@@ -256,7 +262,7 @@ class TestBlockCounting:
         monkeypatch.setattr(InactivityDetector, "tick", refuse)
         out = tmp_path / "out.csv"
         assert main(["detect", str(sample_file), "-o", str(out)]) == 0
-        assert [e.kind for e in parse_events(out.read_text())][:2] == ["reset", "vib_start"]
+        assert [e.kind for e in read_events(out.read_text())][:2] == ["reset", "vib_start"]
 
     @pytest.mark.parametrize("command", ["counts", "detect"])
     def test_late_refusal_prints_nothing_to_stdout(self, command, late_refusal_file, capsys):
@@ -531,7 +537,7 @@ class TestBoundedMemory:
             xyz = rng.normal(0.0, 0.4, (n, 3))
             xyz[(np.arange(n) // 1500) % 2 == 1] = 0.0  # 15 s of rest in every 30 s
             paths[n] = work / f"samples_{n}.csv"
-            paths[n].write_text(serialize_samples(make_samples(xyz)), newline="\n")
+            paths[n].write_text(samples_text(make_samples(xyz)), newline="\n")
         return paths
 
     @staticmethod
@@ -661,7 +667,7 @@ class TestSimulate:
         events = tmp_path / "events.csv"
         assert main(["simulate", str(scenario_path), "-o", str(tmp_path / "trace.csv"),
                      "--events", str(events)]) == 0
-        kinds = [e.kind for e in parse_events(events.read_text())]
+        kinds = [e.kind for e in read_events(events.read_text())]
         assert kinds == ["reset", "vib_start", "vib_end", "reset"]
         # 3,000 ticks in 7 chunks, each ending at a press or a motor change.
         assert drawn == [0, 1001, 1200, 1769, 2000, 2269, 2800]
@@ -715,12 +721,12 @@ class TestSimulate:
         sampler = ScenarioSampler(scenario, 100.0)
         samples = [sampler.sample(k) for k in range(sampler.n_ticks)]
         src = tmp_path / "samples.csv"
-        src.write_text(serialize_samples(samples), newline="\n")
+        src.write_text(samples_text(samples), newline="\n")
         counts_out = tmp_path / "counts.csv"
         events_out = tmp_path / "events.csv"
         assert main(["counts", str(src), "-o", str(counts_out)]) == 0
         assert main(["detect", str(src), "-o", str(events_out)]) == 0
-        assert parse_events(events_out.read_text()) == list(trace.events)
+        assert read_events(events_out.read_text()) == list(trace.events)
         vm_cli = read_counts(counts_out)[:, 1]
         # counts CSV carries 9 significant digits
         assert np.allclose(vm_cli, trace.vm, rtol=1e-8, atol=1e-8)
@@ -737,7 +743,7 @@ class TestSimulate:
         columns = (trace.t, trace.ax, trace.ay, trace.az)
         samples = [RawSample(*row) for row in zip(*(c.tolist() for c in columns))]
         samples_path = tmp_path / "samples.csv"
-        samples_path.write_text(serialize_samples(samples), newline="\n")
+        samples_path.write_text(samples_text(samples), newline="\n")
         scenario_path = tmp_path / "scenario.txt"
         scenario_path.write_text(serialize_scenario(scenario))
         detected, simulated = tmp_path / "detected.csv", tmp_path / "simulated.csv"
@@ -746,7 +752,7 @@ class TestSimulate:
         assert main(["simulate", str(scenario_path), *config, "-o", str(tmp_path / "trace.csv"),
                      "--events", str(simulated)]) == 0
         assert detected.read_bytes() == simulated.read_bytes()
-        starts = [e for e in parse_events(detected.read_text()) if e.kind == "vib_start"]
+        starts = [e for e in read_events(detected.read_text()) if e.kind == "vib_start"]
         assert starts and starts[0].t == pytest.approx(27.68)
 
 

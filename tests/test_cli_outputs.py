@@ -74,17 +74,32 @@ def differing(out: Path, expected: dict[str, str]) -> list[str]:
                   if found.get(path) != expected.get(path))
 
 
-def test_script_writes_the_output_tree(tmp_path):
-    out = tmp_path / "out"
+def write_tree(out: Path, **env: str) -> None:
+    """Run the script into `out`, with this checkout's stillwatch and `env` set."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, str(SCRIPT), str(out)],
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, "PYTHONPATH": path, **env},
         capture_output=True,
         text=True,
         timeout=300,
     )
     assert result.returncode == 0, result.stderr
+
+
+def assert_matches_manifest(out: Path) -> None:
+    version, expected = read_manifest(MANIFEST.read_text())
+    assert version == np.__version__, (
+        f"{MANIFEST.name} was written under numpy {version}, this is numpy {np.__version__}:"
+        " its noise stream may differ, so the digests cannot be compared"
+    )
+    changed = differing(out, expected)
+    assert not changed, f"differ from {MANIFEST.name}: {', '.join(changed)}"
+
+
+def test_script_writes_the_output_tree(tmp_path):
+    out = tmp_path / "out"
+    write_tree(out)
     files = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
     assert files == TREE
     assert all((out / name).stat().st_size > 0 for name in files)
@@ -97,13 +112,17 @@ def test_script_writes_the_output_tree(tmp_path):
     assert (out / "detect_stdout.csv").read_bytes() == (out / "detect_event_dense.csv").read_bytes()
     stdout_trace = (out / "simulate_stdout_trace.csv").read_bytes()
     assert stdout_trace == (out / "simulate_default_trace.csv").read_bytes()
-    version, expected = read_manifest(MANIFEST.read_text())
-    assert version == np.__version__, (
-        f"{MANIFEST.name} was written under numpy {version}, this is numpy {np.__version__}:"
-        " its noise stream may differ, so the digests cannot be compared"
-    )
-    changed = differing(out, expected)
-    assert not changed, f"differ from {MANIFEST.name}: {', '.join(changed)}"
+    assert_matches_manifest(out)
+
+
+def test_outputs_do_not_depend_on_numpy_simd_kernels(tmp_path):
+    # Every SIMD target numpy dispatches to above its baseline, switched off:
+    # a kernel whose result depends on the target must not reach an output.
+    from numpy._core._multiarray_umath import __cpu_dispatch__
+
+    out = tmp_path / "out"
+    write_tree(out, NPY_DISABLE_CPU_FEATURES=" ".join(__cpu_dispatch__))
+    assert_matches_manifest(out)
 
 
 if __name__ == "__main__":

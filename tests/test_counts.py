@@ -57,8 +57,9 @@ class TestRectifyThreshold:
         assert rectify_threshold(1.0, counts_cfg) == 1.0
 
     def test_nonfinite_rejected(self, counts_cfg):
-        with pytest.raises(ValueError):
-            rectify_threshold(float("nan"), counts_cfg)
+        for bad in (float("nan"), 10**400, 10**5000):
+            with pytest.raises(ValueError, match="^filtered value must be finite, got "):
+                rectify_threshold(bad, counts_cfg)
 
 
 class TestContribution:
@@ -72,9 +73,10 @@ class TestContribution:
     def test_saturated_value(self, counts_cfg):
         assert contribution(2.13, counts_cfg) == SATURATED_CONTRIBUTION
 
-    @pytest.mark.parametrize("bad", [-0.1, 2.14, 10.0])
+    @pytest.mark.parametrize("bad", [-0.1, 2.14, 10.0, pytest.param(10**400, id="10**400"),
+                                     pytest.param(10**5000, id="10**5000")])
     def test_out_of_range_rejected(self, bad, counts_cfg):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^thresholded value must lie in "):
             contribution(bad, counts_cfg)
 
 
@@ -96,7 +98,8 @@ class TestVm:
             vm(-1.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("sums", [(math.nan, 0.0, 0.0), (math.inf, 1.0, 0.0),
-                                      (0.0, 0.0, -math.inf)])
+                                      (0.0, 0.0, -math.inf), (10**400, 0.0, 0.0),
+                                      (0.0, 10**5000, 0.0)])
     def test_nonfinite_rejected(self, sums):
         with pytest.raises(ValueError, match="must be finite and nonnegative"):
             vm(*sums)
@@ -200,7 +203,8 @@ class TestAxisWindow:
     def test_rejects_negative_and_nonfinite(self, counts_cfg):
         window = AxisWindow(counts_cfg)
         window.push(0.5)
-        for bad in (-0.1, float("inf"), float("nan"), 2.0**-60, SATURATED_CONTRIBUTION * 2):
+        for bad in (-0.1, float("inf"), float("nan"), 2.0**-60, SATURATED_CONTRIBUTION * 2,
+                    10**400, 10**5000):
             with pytest.raises(ValueError, match="multiple of"):
                 window.push(bad)
         assert window.value == 0.5

@@ -178,12 +178,14 @@ class TestStreaming:
                 prev = cut
             assert chunked == whole
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"),
+                                     pytest.param(10**400, id="10**400"),
+                                     pytest.param(10**5000, id="10**5000")])
     def test_nonfinite_input_rejected_without_state_change(self, coeffs, bad):
         biquad = Biquad(coeffs)
         biquad._process([0.5, -0.25, 1.0])
         before = biquad.state
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^filter input must be finite, got "):
             biquad.step(bad)
         assert biquad.state == before
 

@@ -34,21 +34,19 @@ from stillwatch.io import (
     TRACE_HEADER,
     ConfigFile,
     ParseError,
-    _format_rows,
     _g9,
     _parse_sample_lines,
     parse_config,
-    parse_events,
     parse_samples,
     parse_scenario,
     serialize_config,
     serialize_events,
-    serialize_samples,
     serialize_scenario,
 )
 from stillwatch.sim import TRACE_COLUMNS, SimulationTrace
 
 from conftest import counts_text, trace_text
+from _oracles import format_rows, read_events, samples_text
 
 
 def random_samples(rng, n):
@@ -110,7 +108,7 @@ class TestSamples:
         text = "t,ax,ay,az\n"
         values = parse_samples(text)
         assert values.shape == (0, 4) and values.dtype == np.float64
-        assert serialize_samples(values) == text
+        assert samples_text(values) == text
 
     def test_two_line_example(self):
         values = parse_samples("t,ax,ay,az\n0.00,0,0,1\n0.01,0,0,1\n")
@@ -121,9 +119,9 @@ class TestSamples:
         rng = np.random.default_rng(51)
         for _ in range(50):
             samples = random_samples(rng, int(rng.integers(0, 40)))
-            text = serialize_samples(samples)
+            text = samples_text(samples)
             assert parse_samples(text).tolist() == [list(s) for s in samples]
-            assert serialize_samples(parse_samples(text)) == text
+            assert samples_text(parse_samples(text)) == text
 
     @pytest.mark.parametrize(
         "text,line,fragment",
@@ -137,18 +135,13 @@ class TestSamples:
             ("t,ax,ay,az\n0,0,0,1\n0.01,0,0,1\n\n", 4, "blank line"),
             # The first bad line wins, whatever the kind of a fault below it.
             ("t,ax,ay,az\n0,0,0,1\n0.01,oops,0,1\n\n0.02,0,0,1\n", 3, "ax: not a number"),
-            ("t,event\n0,bogus\n\n", 2, "event must be one of"),
         ],
     )
     def test_errors_carry_line_numbers(self, text, line, fragment):
-        # The header picks the parser: the events format shares `_csv_rows`.
-        parse = parse_events if text.startswith("t,event\n") else parse_samples
-        inputs = [text]
-        if parse is parse_samples:  # and as the byte lines of a binary file
-            inputs.append(text.encode().splitlines(keepends=True))
-        for data in inputs:
+        # As text and as the byte lines of a binary file.
+        for data in [text, text.encode().splitlines(keepends=True)]:
             with pytest.raises(ParseError) as info:
-                parse(data)
+                parse_samples(data)
             assert info.value.line == line
             assert fragment in str(info.value)
 
@@ -242,7 +235,7 @@ class TestSamplesDifferential:
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n"])
     def test_well_formed_file_is_read_by_numpy(self, newline, monkeypatch):
-        text = serialize_samples(random_samples(np.random.default_rng(53), 50))
+        text = samples_text(random_samples(np.random.default_rng(53), 50))
         text = text.replace("\n", newline)
 
         def refuse(*args):
@@ -307,7 +300,7 @@ class TestSampleByteLines:
             assert parse_outcome(parse_samples, lines) == text_outcome(data)
 
     def test_well_formed_byte_lines_are_read_by_numpy(self, monkeypatch):
-        text = serialize_samples(random_samples(np.random.default_rng(54), 50))
+        text = samples_text(random_samples(np.random.default_rng(54), 50))
         lines = BytesIO(text.replace("\n", "\r\n").encode()).readlines()
 
         def refuse(*args):
@@ -331,11 +324,7 @@ class TestEvents:
             DetectorEvent(22.68, "vib_end"),
         ]
         text = serialize_events(events)
-        assert parse_events(text) == events
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ParseError, match="event must be one of"):
-            parse_events("t,event\n1.0,hum\n")
+        assert read_events(text) == events
 
 
 # Runs of one value and their lengths, for a trace column of each dtype: runs
@@ -394,7 +383,7 @@ class TestTrace:
         by_dtype = {np.float64: _g9, np.bool_: bool01, np.int64: str}
         formats = [by_dtype[dtype] for _, dtype in TRACE_COLUMNS]
         # Line lists, so that a failure names the first row that differs.
-        want = _format_rows(TRACE_HEADER, formats, rows).split("\n")
+        want = format_rows(TRACE_HEADER, formats, rows).split("\n")
         assert trace_text(SimulationTrace(**columns)).split("\n") == want
 
     def test_an_integer_a_float_cannot_hold_is_refused_not_rounded(self):
@@ -421,7 +410,7 @@ class TestTrace:
         by_dtype = {np.float64: _g9, np.bool_: bool01, np.int64: str}
         formats = [by_dtype[dtype] for _, dtype in TRACE_COLUMNS]
         text = trace_text(trace)
-        assert text == _format_rows(TRACE_HEADER, formats, rows)
+        assert text == format_rows(TRACE_HEADER, formats, rows)
         assert text.splitlines()[1].startswith("0,0,")
 
     @settings(max_examples=300)

@@ -401,6 +401,12 @@ class CountsPipeline:
         beyond those bounds, runs row by row through `process_sample`, which
         refuses the first bad row; a refused block changes nothing, and its
         error carries that row's index in the block as `exc.row`.
+
+        The block is held only as arrays: each axis reaches its filters as an
+        `array` of doubles, the carried and new quanta and their two limbs are
+        (w + n, 3) arrays, and the window sums are written into the output and
+        into a spent limb buffer. Python floats are held only as the filters'
+        output for one axis and the windows' rings.
         """
         import numpy as np
 
@@ -413,7 +419,9 @@ class CountsPipeline:
         ok = (step > 0) & (np.abs(step - 1.0 / rate) <= 1e-9)  # as `check_sample_step`
         ok[0] |= last_t is None
         ok &= np.isfinite(block).all(axis=1) & (np.abs(block[:, 1:]) <= self._input_limit).all(1)
-        if not (ok.all() and self._windows[0]._qmax < 2.0**63 and w <= 2**21 and n + w < 2**31):
+        ok = ok.all() and self._windows[0]._qmax < 2.0**63 and w <= 2**21 and n + w < 2**31
+        del step
+        if not ok:
             saved, vms, sums = self._save(), np.empty(n), np.empty((n, 3))
             try:
                 for i, row in enumerate(block.tolist()):
@@ -429,7 +437,7 @@ class CountsPipeline:
         quanta = np.empty((w + n, 3))
         for axis, (chain, win) in enumerate(zip(self._filters, self._windows)):
             quanta[:w, axis] = win._buf[win._idx:] + win._buf[:win._idx]
-            y = block[:, axis + 1].tolist()
+            y = array("d", block[:, axis + 1].tobytes())
             for biquad in chain:
                 y = biquad._process(y)
             quanta[w:, axis] = y
@@ -447,11 +455,14 @@ class CountsPipeline:
         lo &= 0xFFFFFFFF
         np.cumsum(hi, axis=0, out=hi)
         np.cumsum(lo, axis=0, out=lo)
-        hi = hi[w:] - hi[:-w]
-        lo = lo[w:] - lo[:-w]
-        for win, buf, top, bottom in zip(self._windows, rings, hi[-1].tolist(), lo[-1].tolist()):
+        # Window sums of the limbs: the high ones straight into the float
+        # output, each below 2**52 so cast exactly, the low ones into the high
+        # limbs' spent buffer, once the last row's high sum is taken.
+        tops = (hi[-1] - hi[-1 - w]).tolist()
+        sums = np.subtract(hi[w:], hi[:-w], out=np.empty((n, 3)))
+        lo = np.subtract(lo[w:], lo[:-w], out=hi[:n])
+        for win, buf, top, bottom in zip(self._windows, rings, tops, lo[-1].tolist()):
             win._buf, win._idx, win._sum = buf, 0, (top << 32) + bottom
-        sums = hi.astype(float)
         sums *= 2.0**32
         sums += lo
         sums *= self._windows[0]._down

@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from ._checks import require_finite, shown
 
@@ -187,8 +187,8 @@ class Biquad:
         self._s2 = c.b2 * x - c.a2 * y
         return y
 
-    def _process(self, xs: list[float]) -> list[float]:
-        """Filter a sequence of finite inputs, bit for bit as `step` would, the
+    def _process(self, xs: Iterable[float]) -> list[float]:
+        """Filter finite inputs in order, bit for bit as `step` would, the
         registers read and written once."""
         c = self.coeffs
         b0, b1, b2, a1, a2 = c.b0, c.b1, c.b2, c.a1, c.a2

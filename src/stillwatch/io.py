@@ -32,8 +32,8 @@ bad line. Timestamps are not checked: the sample grid is the counting
 pipeline's. The counts and the wide trace are written to a text stream from
 blocks given one after another (for counts, the (t, vm, sums) arrays of each
 counted block), a sub-block of %-formatted rows at a time, so a writer that
-is handed each chunk as it is made holds one chunk's arrays and a few rows of
-text, never the whole table or its text.
+is handed each chunk as it is made holds one chunk's arrays and a sub-block
+of rows as floats and text, never the whole table or its text.
 
 Formats:
   samples        t,ax,ay,az                     raw accelerometer stream (read only)
@@ -143,18 +143,21 @@ def _parse_choice(choices: tuple[str, ...], token: str, line: int, what: str) ->
     return token
 
 
-# Rows formatted by one %-operation at a time, so the text and the Python
-# floats held at once are this many rows', not a block's.
+# Rows staged and formatted by one %-operation at a time, so the staged
+# floats, the Python floats and the text held at once are this many rows',
+# not a block's.
 _SUB_BLOCK_ROWS = 128
 
 
 # Counts and trace rows, a block of `sim._BLOCK_ROWS` rows at a time. A column
 # constant over the block is formatted once, into the row format; a NaN equals
-# nothing, so is per row. The varying columns are copied into one float array,
-# whose `+= 0.0` turns -0.0 into 0.0, and each sub-block of it is written by
-# one %-operation: the row format, once per row, over its values in row order.
-# %.9g writes a float as _g9 does, %d a flag as 0/1 and an option as its
-# digits, which a float holds exactly only up to 2**53.
+# nothing, so is per row. Each sub-block's rows of the varying columns are
+# copied into one reused float array, whose `+= 0.0` turns -0.0 into 0.0, and
+# written by one %-operation: the row format, once per row, over its values in
+# row order. So the block is held only as its own columns, and one sub-block
+# as floats, Python floats and text. %.9g writes a float as _g9 does, %d a
+# flag as 0/1 and an option as its digits, which a float holds exactly only
+# up to 2**53.
 def _csv_blocks(columns: Sequence[np.ndarray]) -> Iterable[str]:
     """The CSV rows of equal-length columns, a sub-block of rows at a time."""
     for start in range(0, len(columns[0]), sim._BLOCK_ROWS):
@@ -169,13 +172,13 @@ def _csv_blocks(columns: Sequence[np.ndarray]) -> Iterable[str]:
                     raise ValueError("integers beyond 2**53 are not written exactly")
                 formats.append(directive)
                 varying.append(block)
-        values = np.empty((len(block), len(varying)))
-        for j, column in enumerate(varying):
-            values[:, j] = column
-        values += 0.0
-        row = ",".join(formats) + "\n"
-        for sub in range(0, len(values), _SUB_BLOCK_ROWS):
-            part = values[sub:sub + _SUB_BLOCK_ROWS]
+        row, n = ",".join(formats) + "\n", len(block)
+        values = np.empty((min(n, _SUB_BLOCK_ROWS), len(varying)))
+        for sub in range(0, n, _SUB_BLOCK_ROWS):
+            part = values[:n - sub]
+            for j, column in enumerate(varying):
+                part[:, j] = column[sub:sub + _SUB_BLOCK_ROWS]
+            part += 0.0
             yield (row * len(part)) % tuple(part.ravel().tolist())
 
 

@@ -241,7 +241,8 @@ _NOISE_BLOCK = 256
 
 # Most ticks `run` advances at once, lines `cli._count_file` reads at a time,
 # and rows `io._csv_blocks` decides its constant columns over: memory for
-# one block. The writer formats a block's rows a sub-block at a time.
+# one block's arrays. The writer stages and formats a sub-block of its rows
+# at a time.
 _BLOCK_ROWS = 1024
 
 
@@ -324,11 +325,12 @@ class ScenarioSampler:
         for segment, hi in zip(self.scenario.segments[first:last], ends):
             _segment_rows(segment, t[lo:hi], xyz[lo:hi])
             lo = hi
-        noise = np.zeros((len(t), 3))
         if self.scenario.noise_sigma_g:
             offset = start % _NOISE_BLOCK
             blocks = range(start // _NOISE_BLOCK, (stop - 1) // _NOISE_BLOCK + 1)
             noise = np.concatenate([self._noise(b) for b in blocks])[offset:offset + len(t)]
+        else:
+            noise = np.zeros((len(t), 3))
         noise[:, 2] += 1.0  # gravity
         xyz += noise
         feedback = self.scenario.motor_feedback

@@ -512,21 +512,23 @@ class TestBoundedMemory:
     objects and numpy buffers)."""
 
     # Measured on these files after a first run: 6k rows peak at 0.18 MB
-    # (detect) and 0.21 MB (counts), 60k rows 0.01 MB above that; event-dense
-    # detect (2,571 and 25,713 events) at 0.18 and 0.20 MB, against 0.42 and
-    # 4.13 MB holding every event until the run ended; `simulate` on the
-    # canonical scenario at 0.25 MB, at 30 s and at 300 s.
-    # The row writer holds a block's varying values in one float array and
-    # one sub-block of rows as Python floats and text. Holding the block's
-    # values as lists of floats and its text at once, counts peaked at 0.42 MB
-    # and simulate at 0.61 MB; with each row formatted as a string of its own,
-    # then joined, counts at 0.45 MB. Parsing each chunk from its joined text
-    # and holding its lines while it was counted, 0.46 and 0.57 MB; counting
-    # the whole file at once, 1.2 and 11.5 MB (detect), 1.8 and 15.0 MB (counts).
+    # (detect and counts), 60k rows 0.01 MB above that; event-dense detect
+    # (2,571 and 25,713 events) at 0.18 and 0.20 MB, against 0.42 and 4.13 MB
+    # holding every event until the run ended; `simulate` on the canonical
+    # scenario at 0.19 MB at 30 s and 0.20 MB at 300 s.
+    # The row writer holds a block only as its own columns, and one sub-block
+    # of the varying values as floats, Python floats and text. Staging the
+    # block's varying values in one float array, simulate peaked at 0.25 MB;
+    # holding them as lists of floats and the block's text at once, counts at
+    # 0.42 MB and simulate at 0.61 MB; with each row formatted as a string of
+    # its own, then joined, counts at 0.45 MB. Parsing each chunk from its
+    # joined text and holding its lines while it was counted, 0.46 and
+    # 0.57 MB; counting the whole file at once, 1.2 and 11.5 MB (detect), 1.8
+    # and 15.0 MB (counts).
     MARGIN_MB = 0.1
     DETECT_PEAK_MB = 0.35
     COUNTS_PEAK_MB = 0.3
-    SIMULATE_PEAK_MB = 0.35
+    SIMULATE_PEAK_MB = 0.22
 
     @pytest.fixture(scope="class")
     def files(self, tmp_path_factory):

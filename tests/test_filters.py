@@ -1,4 +1,5 @@
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -192,7 +193,10 @@ class TestStreaming:
     def test_process_is_step_bit_for_bit(self, coeffs):
         xs = np.random.default_rng(15).normal(0, 2, 3000).tolist()
         stepped = Biquad(coeffs)
-        assert Biquad(coeffs)._process(xs) == [stepped.step(x) for x in xs]
+        want = [stepped.step(x) for x in xs]
+        assert Biquad(coeffs)._process(xs) == want
+        # As `CountsPipeline.process_block` hands it an axis: an array of doubles.
+        assert Biquad(coeffs)._process(array("d", xs)) == want
 
     def test_state_starts_at_zero(self, coeffs):
         assert Biquad(coeffs).state == (0.0, 0.0)
